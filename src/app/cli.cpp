@@ -11,9 +11,13 @@
 //   dragonviz info    --run run.json
 #include "app/cli.hpp"
 
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -39,6 +43,31 @@
 namespace dv::app {
 
 namespace {
+
+/// Strict number parsing for option values: the whole token (surrounding
+/// blanks aside) must be one finite number, so `--p 3x` fails instead of
+/// running DF(3). `what` names the flag in the error.
+double parse_number(const std::string& what, const std::string& token) {
+  const std::string t = trim(token);
+  char* end = nullptr;
+  const double v = t.empty() ? 0.0 : std::strtod(t.c_str(), &end);
+  if (t.empty() || end != t.c_str() + t.size() || !std::isfinite(v)) {
+    throw Error(what + ": expected a finite number, got '" + token + "'");
+  }
+  return v;
+}
+
+/// parse_number for counts: a non-negative integer that fits in T.
+template <typename T>
+T parse_count(const std::string& what, const std::string& token) {
+  const double v = parse_number(what, token);
+  if (v < 0 || v != std::floor(v) ||
+      v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    throw Error(what + ": expected a non-negative integer, got '" + token +
+                "'");
+  }
+  return static_cast<T>(v);
+}
 
 /// Minimal option parser: --key value or --key=value (repeatable keys
 /// collect). Keys in kOptionalValue may appear bare; they collect "".
@@ -89,7 +118,13 @@ struct Args {
   }
   double num_or(const std::string& key, double dflt) const {
     const auto it = opts.find(key);
-    return it == opts.end() ? dflt : std::stod(it->second[0]);
+    return it == opts.end() ? dflt : parse_number("--" + key, it->second[0]);
+  }
+  template <typename T>
+  T count_or(const std::string& key, T dflt) const {
+    const auto it = opts.find(key);
+    return it == opts.end() ? dflt
+                            : parse_count<T>("--" + key, it->second[0]);
   }
   std::vector<std::string> many(const std::string& key) const {
     const auto it = opts.find(key);
@@ -125,6 +160,20 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << is.rdbuf();
   return buf.str();
+}
+
+/// A run file's format follows its extension: `.dvr` is packed, anything
+/// else text JSON.
+bool is_dvr_path(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".dvr") == 0;
+}
+
+void save_run(const metrics::RunMetrics& run, const std::string& path) {
+  if (is_dvr_path(path)) {
+    metrics::save_dvr(run, path);
+  } else {
+    run.save(path);
+  }
 }
 
 /// Writes the observability profile when --profile was given. An empty
@@ -168,8 +217,8 @@ fault::FaultPlan parse_fault_args(const Args& args) {
 void apply_fault_params(const Args& args, netsim::Params& params) {
   params.fault_retry_base =
       args.num_or("fault-retry-base", params.fault_retry_base);
-  params.fault_retry_budget = static_cast<std::uint32_t>(
-      args.num_or("fault-retry-budget", params.fault_retry_budget));
+  params.fault_retry_budget =
+      args.count_or("fault-retry-budget", params.fault_retry_budget);
 }
 
 /// --spec accepts either a script file path or "preset:<name>".
@@ -186,8 +235,8 @@ core::TimeWindow parse_time_window(const std::string& s) {
   const auto parts = split(s, ':');
   DV_REQUIRE(parts.size() == 2, "--window must be t0:t1 (ns)");
   core::TimeWindow w;
-  w.t0 = std::stod(parts[0]);
-  w.t1 = std::stod(parts[1]);
+  w.t0 = parse_number("--window", parts[0]);
+  w.t1 = parse_number("--window", parts[1]);
   DV_REQUIRE(w.active(), "--window needs t0 < t1");
   return w;
 }
@@ -214,13 +263,13 @@ void maybe_print_cache_stats(const Args& args, const core::QueryStats& s) {
 int cmd_sim(const Args& args) {
   obs::reset();  // profile this invocation only
   ExperimentConfig cfg;
-  cfg.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
+  cfg.dragonfly_p = args.count_or<std::uint32_t>("p", 3);
   cfg.routing = routing::algo_from_string(args.one_or("routing", "adaptive"));
   cfg.traffic_scale = args.num_or("scale", 1.0);
   cfg.window = args.num_or("window", 2.0e6);
   cfg.sample_dt = args.num_or("sample-dt", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
-  cfg.parallel = static_cast<std::uint32_t>(args.num_or("parallel", 0));
+  cfg.seed = args.count_or<std::uint64_t>("seed", 1);
+  cfg.parallel = args.count_or<std::uint32_t>("parallel", 0);
   cfg.backend = backend_from_string(args.one_or("backend", "packet"));
   cfg.flow_epoch_dt = parse_epoch_dt(args, "sim");
   cfg.flow_coarsen = flag_on(args, "flow-coarsen", "sim");
@@ -234,12 +283,12 @@ int cmd_sim(const Args& args) {
     const auto parts = split(spec, ':');
     JobSpec job;
     job.workload = parts[0];
-    if (parts.size() > 1 && !parts[1].empty() && parts[1] != "0") {
-      job.ranks = static_cast<std::uint32_t>(std::stoul(parts[1]));
+    if (parts.size() > 1 && !parts[1].empty()) {
+      job.ranks = parse_count<std::uint32_t>("--job ranks", parts[1]);
     }
     if (parts.size() > 2) job.policy = placement::policy_from_string(parts[2]);
     if (parts.size() > 3 && !parts[3].empty()) {
-      job.bytes = static_cast<std::uint64_t>(std::stod(parts[3]));
+      job.bytes = parse_count<std::uint64_t>("--job bytes", parts[3]);
     }
     DV_REQUIRE(parts.size() <= 4, "bad --job spec: " + spec);
     cfg.jobs.push_back(job);
@@ -248,7 +297,7 @@ int cmd_sim(const Args& args) {
   const std::string out = args.one("out");
   {
     obs::ScopedPhase phase("write");
-    result.run.save(out);
+    save_run(result.run, out);
   }
   std::printf(
       "simulated %s on %s: %llu events, %.2fs wall, end=%.0f ns (%u %s)\n",
@@ -287,24 +336,22 @@ std::vector<std::string> axis_values(const Args& args,
 int cmd_sweep(const Args& args) {
   obs::reset();
   SweepConfig cfg;
-  cfg.base.dragonfly_p = static_cast<std::uint32_t>(args.num_or("p", 3));
+  cfg.base.dragonfly_p = args.count_or<std::uint32_t>("p", 3);
   cfg.base.window = args.num_or("window", 2.0e6);
   cfg.base.sample_dt = args.num_or("sample-dt", 0.0);
-  cfg.base.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+  cfg.base.seed = args.count_or<std::uint64_t>("seed", 1);
   cfg.base.backend = backend_from_string(args.one_or("backend", "flow"));
   cfg.base.flow_epoch_dt = parse_epoch_dt(args, "sweep");
   cfg.base.flow_coarsen = flag_on(args, "flow-coarsen", "sweep");
   cfg.base.flow_stepping = args.one_or("flow-stepping", "event");
-  cfg.base.parallel =
-      static_cast<std::uint32_t>(args.num_or("parallel", 0));
-  cfg.base.synthetic_bytes_per_rank = static_cast<std::uint64_t>(
-      args.num_or("bytes-per-rank",
-                  static_cast<double>(cfg.base.synthetic_bytes_per_rank)));
+  cfg.base.parallel = args.count_or<std::uint32_t>("parallel", 0);
+  cfg.base.synthetic_bytes_per_rank =
+      args.count_or("bytes-per-rank", cfg.base.synthetic_bytes_per_rank);
 
   cfg.workloads = axis_values(args, "workload", "workloads");
   cfg.routings = axis_values(args, "routing", "routings");
   for (const auto& s : axis_values(args, "scale", "scales")) {
-    cfg.scales.push_back(std::stod(s));
+    cfg.scales.push_back(parse_number("--scales", s));
   }
   if (cfg.workloads.empty()) cfg.workloads = {"uniform_random"};
   if (cfg.routings.empty()) cfg.routings = {"adaptive"};
@@ -346,7 +393,8 @@ int cmd_render(const Args& args) {
     const auto parts = split(f, ':');
     DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
     const core::ProjectionView overview(data, spec, nullptr, &engine);
-    spec = overview.drill_down(std::stoul(parts[0]), std::stoul(parts[1]));
+    spec = overview.drill_down(parse_count<std::size_t>("--focus", parts[0]),
+                               parse_count<std::size_t>("--focus", parts[1]));
   }
   auto build_phase = std::make_unique<obs::ScopedPhase>("build");
   const core::ProjectionView view(data, spec, nullptr, &engine);
@@ -410,11 +458,7 @@ int cmd_pack(const Args& args) {
   const std::string out = args.one("out");
   // Output format: --format wins, else the output extension decides.
   std::string fmt_name = args.one_or("format", "");
-  if (fmt_name.empty()) {
-    fmt_name = out.size() > 4 && out.compare(out.size() - 4, 4, ".dvr") == 0
-                   ? "dvr"
-                   : "text";
-  }
+  if (fmt_name.empty()) fmt_name = is_dvr_path(out) ? "dvr" : "text";
   const auto fmt = metrics::store_format_from_string(fmt_name);
   const auto run = metrics::RunMetrics::load(in);
   if (fmt == metrics::StoreFormat::kPacked) {
@@ -498,7 +542,8 @@ int cmd_session(const Args& args) {
   for (const auto& b : args.many("brush")) {
     const auto parts = split(b, ':');
     DV_REQUIRE(parts.size() == 3, "--brush must be axis:lo:hi");
-    session.brush(parts[0], std::stod(parts[1]), std::stod(parts[2]));
+    session.brush(parts[0], parse_number("--brush", parts[1]),
+                  parse_number("--brush", parts[2]));
   }
   const std::string out = args.one("out");
   session.save_svg(out, args.num_or("width", 1400),
@@ -582,12 +627,12 @@ int cmd_report(const Args& args) {
 int cmd_trace_record(const Args& args) {
   const std::string workload = args.one("workload");
   workload::Config cfg;
-  cfg.ranks = static_cast<std::uint32_t>(args.num_or("ranks", 0));
+  cfg.ranks = args.count_or<std::uint32_t>("ranks", 0);
   DV_REQUIRE(cfg.ranks > 0, "--ranks required");
-  cfg.total_bytes = static_cast<std::uint64_t>(args.num_or("bytes", 0));
+  cfg.total_bytes = args.count_or<std::uint64_t>("bytes", 0);
   DV_REQUIRE(cfg.total_bytes > 0, "--bytes required");
   cfg.window = args.num_or("window", 2.0e6);
-  cfg.seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+  cfg.seed = args.count_or<std::uint64_t>("seed", 1);
   const auto t =
       trace::record(workload, cfg.ranks, workload::generate(workload, cfg));
   const std::string out = args.one("out");
@@ -618,11 +663,11 @@ int cmd_trace_info(const Args& args) {
 int cmd_trace_replay(const Args& args) {
   obs::reset();
   const auto t = trace::load_binary(args.one("trace"));
-  const auto p = static_cast<std::uint32_t>(args.num_or("p", 3));
+  const auto p = args.count_or<std::uint32_t>("p", 3);
   const auto topo = topo::Dragonfly::canonical(p);
   const auto policy =
       placement::policy_from_string(args.one_or("placement", "contiguous"));
-  const auto seed = static_cast<std::uint64_t>(args.num_or("seed", 1));
+  const auto seed = args.count_or<std::uint64_t>("seed", 1);
   const auto placement =
       placement::place_jobs(topo, {{t.app, t.ranks, policy}}, seed);
   netsim::Params params;
@@ -637,10 +682,10 @@ int cmd_trace_replay(const Args& args) {
   if (!fault_plan.empty()) net.set_fault_plan(fault_plan);
   const double dt = args.num_or("sample-dt", 0.0);
   if (dt > 0) net.enable_sampling(dt);
-  net.set_parallel(static_cast<std::uint32_t>(args.num_or("parallel", 1)));
+  net.set_parallel(args.count_or<std::uint32_t>("parallel", 1));
   const auto run = net.run();
   const std::string out = args.one("out");
-  run.save(out);
+  save_run(run, out);
   std::printf("replayed %s (%u ranks) on %s: %llu packets, end=%.0f ns\n",
               t.app.c_str(), t.ranks, topo.describe().c_str(),
               static_cast<unsigned long long>(run.total_packets_finished()),
@@ -695,16 +740,11 @@ void handle_stop_signal(int) {
 int cmd_serve(const Args& args) {
   serve::ServeOptions opts;
   opts.listen = args.one_or("listen", opts.listen);
-  opts.workers = static_cast<std::size_t>(
-      args.num_or("workers", static_cast<double>(opts.workers)));
-  opts.max_queue = static_cast<std::size_t>(
-      args.num_or("max-queue", static_cast<double>(opts.max_queue)));
-  opts.max_sessions = static_cast<std::size_t>(
-      args.num_or("max-sessions", static_cast<double>(opts.max_sessions)));
-  opts.cache_capacity = static_cast<std::size_t>(args.num_or(
-      "cache-capacity", static_cast<double>(opts.cache_capacity)));
-  opts.cache_shards = static_cast<std::size_t>(
-      args.num_or("cache-shards", static_cast<double>(opts.cache_shards)));
+  opts.workers = args.count_or("workers", opts.workers);
+  opts.max_queue = args.count_or("max-queue", opts.max_queue);
+  opts.max_sessions = args.count_or("max-sessions", opts.max_sessions);
+  opts.cache_capacity = args.count_or("cache-capacity", opts.cache_capacity);
+  opts.cache_shards = args.count_or("cache-shards", opts.cache_shards);
   opts.ready_file = args.one_or("ready-file", "");
 
   serve::Server server(opts);
@@ -787,7 +827,10 @@ int cmd_client(const Args& args) {
       const auto parts = split(f, ':');
       DV_REQUIRE(parts.size() == 2, "--focus must be ring:item");
       focus.push_back(json::Value(json::Array{
-          json::Value(std::stod(parts[0])), json::Value(std::stod(parts[1]))}));
+          json::Value(static_cast<double>(
+              parse_count<std::uint32_t>("--focus", parts[0]))),
+          json::Value(static_cast<double>(
+              parse_count<std::uint32_t>("--focus", parts[1])))}));
     }
     if (!focus.empty()) p["focus"] = json::Value(std::move(focus));
     if (args.opts.count("size") != 0) {
@@ -857,6 +900,7 @@ void print_help() {
       "dragonviz — visual analytics for large-scale dragonfly networks\n\n"
       "subcommands:\n"
       "  sim      --p N --job workload[:ranks[:policy]] ... --out run.json\n"
+      "           (--out *.dvr writes the packed format, else text JSON)\n"
       "           [--routing minimal|nonminimal|adaptive|par]\n"
       "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
       "           [--parallel N]  (N>1: conservative parallel engine with\n"
@@ -868,8 +912,11 @@ void print_help() {
       "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
       "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
       "           [--backend packet|flow]  (flow: max-min water-filling\n"
-      "           fluid model — same RunMetrics schema, orders of magnitude\n"
-      "           faster; no faults) [--epoch-dt NS] (> 0; omit for auto)\n"
+      "           fluid model — same RunMetrics schema; measured ~28x\n"
+      "           faster on the DF(3) structured sweep, ~3x on a DF(5)\n"
+      "           MiniFE point, about even on heavy uniform random — see\n"
+      "           EXPERIMENTS.md; no faults)\n"
+      "           [--epoch-dt NS] (> 0; omit for auto)\n"
       "           [--flow-stepping event|fixed]  (event = run to the next\n"
       "           rate change; fixed = PR-8 fixed-epoch loop)\n"
       "           [--flow-coarsen]  (flow: one bundle per router pair —\n"

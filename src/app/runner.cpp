@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "flow/flow.hpp"
 #include "util/str.hpp"
@@ -133,7 +134,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     flow::FlowNetwork net(out.topo, cfg.routing, cfg.params, cfg.seed);
     net.set_jobs(out.placement);
     net.set_labels(workload_label, cfg.placement_label(), names);
-    net.add_messages(messages);
+    net.add_messages(std::move(messages));  // unused past this branch
     if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
     if (cfg.flow_epoch_dt != 0) net.set_epoch_dt(cfg.flow_epoch_dt);
     if (cfg.flow_coarsen) net.enable_coarsening();

@@ -47,14 +47,14 @@ SolverResult water_fill(const std::vector<double>& capacity,
   std::vector<std::uint32_t> count(nl, 0);   // alive crossings per link
   std::vector<double> frozen_load(nl, 0.0);  // load contributed by frozen flows
   std::vector<std::uint8_t> alive(nf, 1);
-  std::size_t n_alive = 0;
 
-  // Used-link list: everything below touches only links some active flow
-  // crosses, so sparse traffic on a big topology stays cheap. Absent
-  // flows (rate_cap <= 0) are skipped before their links are touched —
-  // the event engine keeps one solver slot per ever-seen bundle, so most
-  // slots are dead in the long drain tail.
+  // Used-link and live-flow lists: everything below touches only the
+  // flows present and the links they cross, so sparse traffic on a big
+  // topology stays cheap. Absent flows (rate_cap <= 0) are skipped before
+  // their links are touched — the event engine keeps one solver slot per
+  // bundle, so most slots are dead at any moment.
   std::vector<std::uint32_t> used;
+  std::vector<std::uint32_t> live;  // ascending flow ids
   for (std::size_t f = 0; f < nf; ++f) {
     DV_REQUIRE(flows[f].rate_cap >= 0.0, "negative rate cap");
     if (flows[f].rate_cap <= 0.0) {
@@ -64,31 +64,25 @@ SolverResult water_fill(const std::vector<double>& capacity,
     if (flows[f].links.empty() && !std::isfinite(flows[f].rate_cap)) {
       throw Error("unconstrained flow: no links and no rate cap");
     }
-    ++n_alive;
+    live.push_back(static_cast<std::uint32_t>(f));
     for (const std::uint32_t l : flows[f].links) {
       DV_REQUIRE(l < nl, "flow crosses a link outside the capacity vector");
       if (count[l]++ == 0) used.push_back(l);
     }
   }
+  std::size_t n_alive = live.size();
 
-  // Per-link flow lists, so an exhausted link freezes its flows in O(deg).
+  // Per-link flow lists, so an exhausted link freezes its flows in O(deg);
+  // a link's degree is its initial alive count.
   std::vector<std::uint32_t> adj_start(nl + 1, 0);
-  {
-    std::vector<std::uint32_t> deg(nl, 0);
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (!alive[f]) continue;
-      for (const std::uint32_t l : flows[f].links) ++deg[l];
-    }
-    for (const std::uint32_t l : used) adj_start[l + 1] = deg[l];
-    for (std::size_t l = 0; l < nl; ++l) adj_start[l + 1] += adj_start[l];
-  }
+  for (const std::uint32_t l : used) adj_start[l + 1] = count[l];
+  for (std::size_t l = 0; l < nl; ++l) adj_start[l + 1] += adj_start[l];
   std::vector<std::uint32_t> adj(adj_start[nl]);
   {
     std::vector<std::uint32_t> fill(nl, 0);
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (!alive[f]) continue;
+    for (const std::uint32_t f : live) {
       for (const std::uint32_t l : flows[f].links) {
-        adj[adj_start[l] + fill[l]++] = static_cast<std::uint32_t>(f);
+        adj[adj_start[l] + fill[l]++] = f;
       }
     }
   }
@@ -109,11 +103,9 @@ SolverResult water_fill(const std::vector<double>& capacity,
   // difference between ~milliseconds and ~tens of milliseconds per solve
   // on tens of thousands of active flows.
   std::vector<std::uint32_t> by_cap;
-  by_cap.reserve(nf);
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (alive[f] && std::isfinite(flows[f].rate_cap)) {
-      by_cap.push_back(static_cast<std::uint32_t>(f));
-    }
+  by_cap.reserve(n_alive);
+  for (const std::uint32_t f : live) {
+    if (std::isfinite(flows[f].rate_cap)) by_cap.push_back(f);
   }
   std::sort(by_cap.begin(), by_cap.end(),
             [&flows](std::uint32_t a, std::uint32_t b) {
@@ -422,18 +414,24 @@ FlowNetwork::FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
 }
 
 void FlowNetwork::add_message(const netsim::Message& m) {
-  DV_REQUIRE(!ran_, "add_message after run()");
-  DV_REQUIRE(m.src_terminal < nterm_ && m.dst_terminal < nterm_,
-             "message endpoint outside the topology");
-  DV_REQUIRE(m.src_terminal != m.dst_terminal,
-             "message to self never enters the network");
-  DV_REQUIRE(m.bytes > 0, "empty message");
-  DV_REQUIRE(m.time >= 0.0, "negative injection time");
-  messages_.push_back(m);
+  add_messages({m});
 }
 
-void FlowNetwork::add_messages(const std::vector<netsim::Message>& ms) {
-  for (const auto& m : ms) add_message(m);
+void FlowNetwork::add_messages(std::vector<netsim::Message> ms) {
+  DV_REQUIRE(!ran_, "add_message after run()");
+  for (const netsim::Message& m : ms) {
+    DV_REQUIRE(m.src_terminal < nterm_ && m.dst_terminal < nterm_,
+               "message endpoint outside the topology");
+    DV_REQUIRE(m.src_terminal != m.dst_terminal,
+               "message to self never enters the network");
+    DV_REQUIRE(m.bytes > 0, "empty message");
+    DV_REQUIRE(m.time >= 0.0, "negative injection time");
+  }
+  if (messages_.empty()) {
+    messages_ = std::move(ms);
+  } else {
+    messages_.insert(messages_.end(), ms.begin(), ms.end());
+  }
 }
 
 void FlowNetwork::set_labels(std::string workload, std::string placement,
@@ -568,10 +566,27 @@ std::int32_t FlowNetwork::pick_proxy_router(std::uint32_t group,
   }
 }
 
+FlowNetwork::PathInfo FlowNetwork::bundle_path(
+    const Bundle& b, std::int32_t proxy_group,
+    std::int32_t proxy_router) const {
+  PathInfo path = build_path(b.src, b.dst, proxy_group, proxy_router);
+  if (coarsen_) {
+    // build_path always brackets the route with the representative
+    // terminal's edge links; swap in the router-level aggregate links.
+    path.links.front() = coarse_inj_link(topo_.terminal_router(b.src));
+    path.links.back() = coarse_ej_link(topo_.terminal_router(b.dst));
+  }
+  return path;
+}
+
 double FlowNetwork::path_peak_util(const PathInfo& path) const {
+  // Under coarsening the comparison reads only the interior links: the
+  // terminal edge links the walk produces carry no load there, and the
+  // router-level links swapped in for them are not part of the decision.
+  const std::size_t skip = coarsen_ ? 1 : 0;
   double peak = 0.0;
-  for (const std::uint32_t l : path.links) {
-    peak = std::max(peak, link_util_[l]);
+  for (std::size_t i = skip; i + skip < path.links.size(); ++i) {
+    peak = std::max(peak, link_util_[path.links[i]]);
   }
   return peak;
 }
@@ -583,19 +598,24 @@ void FlowNetwork::decide_route(Bundle& b) {
   const std::uint32_t dg = topo_.router_group(dr);
   Rng& rng = term_rng_[b.src];
 
-  std::int32_t proxy_group = -1;
-  std::int32_t proxy_router = -1;
+  // The minimal path never changes, so it is walked once per bundle.
+  if (b.min_path.links.empty()) b.min_path = bundle_path(b, -1, -1);
+
   if (sr != dr) {
     switch (algo_) {
       case routing::Algo::kMinimal:
         break;
-      case routing::Algo::kNonMinimal:
-        if (dg != sg) {
-          proxy_group = pick_proxy_group(sg, dg, rng);
-        } else {
-          proxy_router = pick_proxy_router(sg, sr, dr, rng);
+      case routing::Algo::kNonMinimal: {
+        const std::int32_t proxy_group =
+            dg != sg ? pick_proxy_group(sg, dg, rng) : -1;
+        const std::int32_t proxy_router =
+            dg != sg ? -1 : pick_proxy_router(sg, sr, dr, rng);
+        if (proxy_group >= 0 || proxy_router >= 0) {
+          b.path = bundle_path(b, proxy_group, proxy_router);
+          return;
         }
         break;
+      }
       case routing::Algo::kAdaptive:
       case routing::Algo::kProgressiveAdaptive: {
         // Fluid UGAL: netsim compares source-router queue depths; the flow
@@ -605,59 +625,125 @@ void FlowNetwork::decide_route(Bundle& b) {
         if (dg == sg) break;
         const std::int32_t proxy = pick_proxy_group(sg, dg, rng);
         if (proxy < 0) break;
-        const PathInfo min_path = build_path(b.src, b.dst, -1, -1);
-        const PathInfo non_path = build_path(b.src, b.dst, proxy, -1);
-        const double q_min = path_peak_util(min_path);
+        PathInfo non_path = bundle_path(b, proxy, -1);
+        const double q_min = path_peak_util(b.min_path);
         const double q_non = path_peak_util(non_path);
         const double bias =
             params_.adaptive.threshold / params_.vc_buffer_packets;
-        if (q_min * min_path.router_hops >
+        if (q_min * b.min_path.router_hops >
             q_non * non_path.router_hops + bias) {
-          proxy_group = proxy;
+          b.path = std::move(non_path);
+          return;
         }
         break;
       }
     }
   }
-
-  PathInfo path = (proxy_group >= 0 || proxy_router >= 0)
-                      ? build_path(b.src, b.dst, proxy_group, proxy_router)
-                      : build_path(b.src, b.dst, -1, -1);
-  b.links = std::move(path.links);
-  b.router_hops = path.router_hops;
-  b.path_latency = path.latency;
-  if (coarsen_) {
-    // build_path always brackets the route with the representative
-    // terminal's edge links; swap in the router-level aggregate links.
-    b.links.front() = coarse_inj_link(sr);
-    b.links.back() = coarse_ej_link(dr);
-  }
+  b.path = b.min_path;
 }
 
 // -------------------------------------------------------------- epoching
 
-std::uint32_t FlowNetwork::bundle_of(std::uint32_t src, std::uint32_t dst) {
-  std::uint32_t bsrc = src;
-  std::uint32_t bdst = dst;
-  if (coarsen_) {
-    // One bundle per (src router, dst router); the slot-0 terminals stand
-    // in for path building and the Valiant rng stream, so the coarse run
-    // stays deterministic in the same per-source-stream scheme.
-    const std::uint32_t p = topo_.terminals_per_router();
-    bsrc = topo_.terminal_router(src) * p;
-    bdst = topo_.terminal_router(dst) * p;
+void FlowNetwork::build_bundles() {
+  DV_REQUIRE(messages_.size() < std::numeric_limits<std::uint32_t>::max(),
+             "too many messages for one flow run");
+  // Deterministic processing order, independent of add_message order:
+  // issue time, then endpoints, then insertion order. The messages are
+  // kept in that order from here on.
+  std::stable_sort(messages_.begin(), messages_.end(),
+                   [](const netsim::Message& a, const netsim::Message& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     if (a.src_terminal != b.src_terminal)
+                       return a.src_terminal < b.src_terminal;
+                     return a.dst_terminal < b.dst_terminal;
+                   });
+
+  // One bundle per (src,dst) terminal pair; under coarsening one per
+  // (src router, dst router), with the slot-0 terminals standing in for
+  // path building and the Valiant rng stream, so the coarse run stays
+  // deterministic in the same per-source-stream scheme.
+  const std::uint32_t p = topo_.terminals_per_router();
+  auto endpoint = [&](std::uint32_t term) {
+    return coarsen_ ? topo_.terminal_router(term) * p : term;
+  };
+  const auto n = static_cast<std::uint32_t>(messages_.size());
+
+  // Group the messages by source endpoint (a counting sort, so each
+  // source's messages stay in processing order), then point every message
+  // at the first message of its (src,dst) pair: a per-destination stamp of
+  // the last source seen replaces a hash lookup.
+  std::vector<std::uint32_t> src_start(nterm_ + 1, 0);
+  for (const netsim::Message& m : messages_) {
+    ++src_start[endpoint(m.src_terminal) + 1];
   }
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(bsrc) << 32) | bdst;
-  const auto it = bundle_index_.find(key);
-  if (it != bundle_index_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(bundles_.size());
-  Bundle b;
-  b.src = bsrc;
-  b.dst = bdst;
-  bundles_.push_back(std::move(b));
-  bundle_index_.emplace(key, id);
-  return id;
+  for (std::uint32_t t = 0; t < nterm_; ++t) src_start[t + 1] += src_start[t];
+  std::vector<std::uint32_t> by_src(n);
+  {
+    std::vector<std::uint32_t> fill(src_start.begin(), src_start.end() - 1);
+    for (std::uint32_t k = 0; k < n; ++k) {
+      by_src[fill[endpoint(messages_[k].src_terminal)]++] = k;
+    }
+  }
+  msg_bundle_.resize(n);  // first message of the pair, until renumbered
+  {
+    std::vector<std::uint32_t> stamp(nterm_, nterm_);  // nterm_ = never
+    std::vector<std::uint32_t> first(nterm_);
+    for (std::uint32_t src = 0; src < nterm_; ++src) {
+      for (std::uint32_t i = src_start[src]; i < src_start[src + 1]; ++i) {
+        const std::uint32_t k = by_src[i];
+        const std::uint32_t dst = endpoint(messages_[k].dst_terminal);
+        if (stamp[dst] != src) {
+          stamp[dst] = src;
+          first[dst] = k;
+        }
+        msg_bundle_[k] = first[dst];
+      }
+    }
+  }
+
+  // Bundle ids in first-seen processing order: a pair's first message
+  // opens the next bundle, and every later message of the pair (k > its
+  // first) copies the id already written there.
+  std::vector<std::uint32_t> count;  // messages per bundle
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if (msg_bundle_[k] == k) {
+      msg_bundle_[k] = static_cast<std::uint32_t>(bundles_.size());
+      Bundle b;
+      b.src = endpoint(messages_[k].src_terminal);
+      b.dst = endpoint(messages_[k].dst_terminal);
+      bundles_.push_back(std::move(b));
+      count.push_back(0);
+    } else {
+      msg_bundle_[k] = msg_bundle_[msg_bundle_[k]];
+    }
+    ++count[msg_bundle_[k]];
+  }
+
+  // Each bundle's message list is a contiguous run of bundle_msgs_, in
+  // processing order; its FIFO window starts empty at the run's start.
+  std::uint32_t start = 0;
+  for (std::size_t id = 0; id < bundles_.size(); ++id) {
+    bundles_[id].head = bundles_[id].tail = start;
+    start += count[id];
+  }
+  bundle_msgs_.resize(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    // Windows are still empty, so tail doubles as the fill cursor; it is
+    // rewound below.
+    bundle_msgs_[bundles_[msg_bundle_[k]].tail++] = k;
+  }
+  for (Bundle& b : bundles_) b.tail = b.head;
+}
+
+bool FlowNetwork::inject(std::size_t k) {
+  Bundle& b = bundles_[msg_bundle_[k]];
+  const double bytes = static_cast<double>(messages_[k].bytes);
+  const bool idle = b.head == b.tail && b.backlog <= 0.0;
+  if (idle) decide_route(b);
+  if (b.head == b.tail) b.head_left = bytes;
+  ++b.tail;
+  b.backlog += bytes;
+  return idle;
 }
 
 void FlowNetwork::solve_epoch(double dt) {
@@ -667,7 +753,7 @@ void FlowNetwork::solve_epoch(double dt) {
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const Bundle& b = bundles_[active_[i]];
     SolverFlow& f = scratch_flows_[i];
-    f.links.assign(b.links.begin(), b.links.end());
+    f.links.assign(b.path.links.begin(), b.path.links.end());
     f.rate_cap = b.backlog / dt;
   }
   const SolverResult res = water_fill(capacity_, scratch_flows_);
@@ -683,7 +769,7 @@ void FlowNetwork::solve_epoch(double dt) {
   used_links_.clear();
   sat_links_.clear();
   for (const std::uint32_t id : active_) {
-    for (const std::uint32_t l : bundles_[id].links) {
+    for (const std::uint32_t l : bundles_[id].path.links) {
       if (link_saturated_[l]) continue;  // already visited this solve
       link_saturated_[l] = 1;
       used_links_.push_back(l);
@@ -704,45 +790,49 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
     Bundle& b = bundles_[active_[i]];
     double sent = std::min(b.backlog, b.rate * dt);
     if (sent <= 0.0) continue;
-    for (const std::uint32_t l : b.links) link_traffic_[l] += sent;
+    for (const std::uint32_t l : b.path.links) link_traffic_[l] += sent;
     bytes_injected_ += sent;
 
     // FIFO completion: message k finishes when the cumulative drain covers
     // its residue; its packets arrive one fixed path latency later.
     double consumed = 0.0;
-    while (!b.fifo.empty()) {
-      PendingMsg& m = b.fifo.front();
-      const double take = std::min(m.remaining, sent - consumed);
-      if (take < m.remaining - kByteEps) {
-        m.remaining -= take;
+    while (b.head < b.tail) {
+      const netsim::Message& m = messages_[bundle_msgs_[b.head]];
+      const double take = std::min(b.head_left, sent - consumed);
+      if (take < b.head_left - kByteEps) {
+        b.head_left -= take;
         break;
       }
-      consumed += m.remaining;
+      consumed += b.head_left;
       const double completion =
           b.rate > 0.0 ? std::min(t0 + consumed / b.rate, t0 + dt) : t0 + dt;
-      const double arrival = completion + b.path_latency;
+      const double arrival = completion + b.path.latency;
       const auto npkts = static_cast<std::uint64_t>(
           (m.bytes + params_.packet_size - 1) / params_.packet_size);
-      term_finished_[m.dst] += npkts;
-      term_sum_latency_[m.dst] +=
-          std::max(arrival - m.issue, b.path_latency) *
+      term_finished_[m.dst_terminal] += npkts;
+      term_sum_latency_[m.dst_terminal] +=
+          std::max(arrival - m.time, b.path.latency) *
           static_cast<double>(npkts);
-      term_sum_hops_[m.dst] +=
-          static_cast<double>(b.router_hops) * static_cast<double>(npkts);
+      term_sum_hops_[m.dst_terminal] +=
+          static_cast<double>(b.path.router_hops) * static_cast<double>(npkts);
       if (coarsen_) {
         // Fan the router-level drain back out to the exact terminals: the
         // per-terminal edge links are off the coarse path, so injected /
         // ejected bytes attribute whole messages at completion time.
-        link_traffic_[inj_link(m.src)] += static_cast<double>(m.bytes);
-        link_traffic_[ej_link(m.dst)] += static_cast<double>(m.bytes);
+        const auto bytes = static_cast<double>(m.bytes);
+        link_traffic_[inj_link(m.src_terminal)] += bytes;
+        link_traffic_[ej_link(m.dst_terminal)] += bytes;
       }
       ++msgs_finished_;
       bytes_delivered_ += static_cast<double>(m.bytes);
       max_delivery_ = std::max(max_delivery_, arrival);
-      b.fifo.pop_front();
+      if (++b.head < b.tail) {
+        b.head_left =
+            static_cast<double>(messages_[bundle_msgs_[b.head]].bytes);
+      }
     }
     b.backlog = std::max(0.0, b.backlog - sent);
-    if (b.backlog <= kByteEps && b.fifo.empty()) {
+    if (b.backlog <= kByteEps && b.head == b.tail) {
       b.backlog = 0.0;
       b.rate = 0.0;
       drained_.push_back(active_[i]);
@@ -903,8 +993,8 @@ double FlowNetwork::next_completion_target(double t) {
   return *kth;
 }
 
-double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
-                              double dt) {
+double FlowNetwork::run_event(double dt) {
+  const std::size_t nmsgs = messages_.size();
   const bool sampled = sample_dt_ > 0.0;
   std::size_t next = 0;
   std::vector<std::uint32_t> pending;  // activated, not yet solved in
@@ -912,17 +1002,19 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
   double t = 0.0;
   double frame_next = dt;  // accumulated like the fixed loop's t += dt
   double batch_t = kInf;   // completion-batch target from the last solve
+  // One solver slot per bundle, absent (rate_cap 0) until activated.
+  ev_flows_.assign(bundles_.size(), SolverFlow{{}, 0.0});
 
   // A message activates at the start of the length-dt interval containing
   // its issue time — the fixed-epoch activation semantics, which is what
   // keeps the two steppings aligned when completions land on boundaries.
   auto quantum = [dt](double time) { return std::floor(time / dt) * dt; };
 
-  while (next < order.size() || !active_.empty()) {
+  while (next < nmsgs || !active_.empty()) {
     DV_REQUIRE(++epochs_ < kMaxEpochs,
                "flow simulation failed to drain (event guard)");
     const double t_inj =
-        next < order.size() ? quantum(messages_[order[next]].time) : kInf;
+        next < nmsgs ? quantum(messages_[next].time) : kInf;
     double stop = std::min(t_inj, batch_t);
     if (sampled) stop = std::min(stop, frame_next);
     DV_CHECK(std::isfinite(stop) && stop >= t, "event stepping stalled");
@@ -943,19 +1035,11 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
       frame_next += dt;
     }
 
-    while (next < order.size() &&
-           quantum(messages_[order[next]].time) <= t) {
-      const netsim::Message& m = messages_[order[next]];
-      const std::uint32_t id = bundle_of(m.src_terminal, m.dst_terminal);
-      Bundle& b = bundles_[id];
-      if (b.fifo.empty() && b.backlog <= 0.0) {
-        decide_route(b);
-        pending.push_back(id);
+    {
+      obs::ScopedPhase ph("ev.inject");
+      for (; next < nmsgs && quantum(messages_[next].time) <= t; ++next) {
+        if (inject(next)) pending.push_back(msg_bundle_[next]);
       }
-      b.fifo.push_back(PendingMsg{static_cast<double>(m.bytes), m.time,
-                                  m.bytes, m.src_terminal, m.dst_terminal});
-      b.backlog += static_cast<double>(m.bytes);
-      ++next;
     }
 
     // Activation batching: below the cap-solve threshold every quantum
@@ -967,17 +1051,12 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
     const bool flush =
         !pending.empty() &&
         (active_.size() <= kCapSolveLimit ||
-         pending.size() * 16 >= active_.size() || next >= order.size() ||
+         pending.size() * 16 >= active_.size() || next >= nmsgs ||
          active_.empty());
     if (flush) {
-      // Solver slots grow only here, so the drain-only incremental path
-      // always sees ev_flows_/ev_state_ at matching sizes.
-      if (ev_flows_.size() < bundles_.size()) {
-        ev_flows_.resize(bundles_.size());
-      }
       for (const std::uint32_t id : pending) {
-        ev_flows_[id].links.assign(bundles_[id].links.begin(),
-                                   bundles_[id].links.end());
+        ev_flows_[id].links.assign(bundles_[id].path.links.begin(),
+                                   bundles_[id].path.links.end());
       }
       active_.insert(active_.end(), pending.begin(), pending.end());
       pending.clear();
@@ -1032,19 +1111,19 @@ double FlowNetwork::run_event(const std::vector<std::uint32_t>& order,
 
 // ------------------------------------------------------------------- run
 
-double FlowNetwork::run_fixed(const std::vector<std::uint32_t>& order,
-                              double dt) {
+double FlowNetwork::run_fixed(double dt) {
+  const std::size_t nmsgs = messages_.size();
   double t = 0.0;
   std::size_t next = 0;
   std::vector<std::uint32_t> activated;
   bool need_solve = true;
-  while (next < order.size() || !active_.empty()) {
+  while (next < nmsgs || !active_.empty()) {
     DV_REQUIRE(++epochs_ < kMaxEpochs,
                "flow simulation failed to drain (epoch guard)");
     // Idle gap: jump to the epoch containing the next injection,
     // emitting zero frames so sampled series stay contiguous from t=0.
-    if (active_.empty() && next < order.size()) {
-      const double next_time = messages_[order[next]].time;
+    if (active_.empty() && next < nmsgs) {
+      const double next_time = messages_[next].time;
       while (t + dt <= next_time) {
         if (sample_dt_ > 0.0) push_sample_frame();
         t += dt;
@@ -1052,18 +1131,8 @@ double FlowNetwork::run_fixed(const std::vector<std::uint32_t>& order,
     }
     const double t1 = t + dt;
     activated.clear();
-    while (next < order.size() && messages_[order[next]].time < t1) {
-      const netsim::Message& m = messages_[order[next]];
-      const std::uint32_t id = bundle_of(m.src_terminal, m.dst_terminal);
-      Bundle& b = bundles_[id];
-      if (b.fifo.empty() && b.backlog <= 0.0) {
-        decide_route(b);
-        activated.push_back(id);
-      }
-      b.fifo.push_back(PendingMsg{static_cast<double>(m.bytes), m.time,
-                                  m.bytes, m.src_terminal, m.dst_terminal});
-      b.backlog += static_cast<double>(m.bytes);
-      ++next;
+    for (; next < nmsgs && messages_[next].time < t1; ++next) {
+      if (inject(next)) activated.push_back(msg_bundle_[next]);
     }
     if (!activated.empty()) {
       active_.insert(active_.end(), activated.begin(), activated.end());
@@ -1096,8 +1165,8 @@ double FlowNetwork::run_fixed(const std::vector<std::uint32_t>& order,
         }
         k = std::min(k, std::ceil(b.backlog / (b.rate * dt)));
       }
-      if (next < order.size()) {
-        k = std::min(k, std::floor((messages_[order[next]].time - t) / dt));
+      if (next < nmsgs) {
+        k = std::min(k, std::floor((messages_[next].time - t) / dt));
       }
       step = std::max(1.0, k) * dt;
     }
@@ -1122,21 +1191,6 @@ metrics::RunMetrics FlowNetwork::run() {
   DV_REQUIRE(!ran_, "run() already called");
   ran_ = true;
 
-  // Deterministic processing order, independent of add_message order.
-  std::vector<std::uint32_t> order(messages_.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const netsim::Message& ma = messages_[a];
-              const netsim::Message& mb = messages_[b];
-              if (ma.time != mb.time) return ma.time < mb.time;
-              if (ma.src_terminal != mb.src_terminal)
-                return ma.src_terminal < mb.src_terminal;
-              if (ma.dst_terminal != mb.dst_terminal)
-                return ma.dst_terminal < mb.dst_terminal;
-              return a < b;
-            });
-
   double dt = sample_dt_ > 0.0 ? sample_dt_ : epoch_dt_;
   if (dt <= 0.0) {
     double max_issue = 0.0;
@@ -1147,8 +1201,11 @@ metrics::RunMetrics FlowNetwork::run() {
   double end = 0.0;
   {
     obs::ScopedPhase phase("sim");
-    end = stepping_ == Stepping::kEvent ? run_event(order, dt)
-                                        : run_fixed(order, dt);
+    {
+      obs::ScopedPhase ph("bundles");
+      build_bundles();
+    }
+    end = stepping_ == Stepping::kEvent ? run_event(dt) : run_fixed(dt);
   }
 
   DV_CHECK(msgs_finished_ == messages_.size(),

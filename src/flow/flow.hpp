@@ -34,10 +34,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "metrics/run_metrics.hpp"
@@ -129,7 +127,9 @@ class FlowNetwork {
   const topo::Dragonfly& topology() const { return topo_; }
 
   void add_message(const netsim::Message& m);
-  void add_messages(const std::vector<netsim::Message>& ms);
+  /// Validates every message, then takes the vector (pass an rvalue to
+  /// hand it over without a copy).
+  void add_messages(std::vector<netsim::Message> ms);
 
   void set_labels(std::string workload, std::string placement,
                   std::vector<std::string> job_names);
@@ -194,33 +194,30 @@ class FlowNetwork {
     return coarse_base_ + nrouters_ + router;
   }
 
+  struct PathInfo {
+    std::vector<std::uint32_t> links;  ///< link indices, source to sink
+    std::uint32_t router_hops = 0;     ///< routers on the path
+    double latency = 0.0;              ///< fixed wire+router latency (ns)
+  };
+
   /// A demand bundle: every message of one (src,dst) terminal pair —
   /// router pair under coarsening — drains FIFO through one flow. Its path
   /// is (re)decided whenever the bundle transitions idle -> backlogged,
   /// the flow-level analog of per-packet adaptive decisions at injection
   /// time.
-  struct PendingMsg {
-    double remaining = 0.0;      ///< bytes left to drain
-    double issue = 0.0;          ///< application send time
-    std::uint64_t bytes = 0;     ///< original size (packet accounting)
-    std::uint32_t src = 0;       ///< source terminal (coarse fan-out)
-    std::uint32_t dst = 0;       ///< destination terminal (coarse fan-out)
-  };
   struct Bundle {
     std::uint32_t src = 0;  ///< representative terminal when coarsening
     std::uint32_t dst = 0;
-    double backlog = 0.0;                ///< bytes not yet drained
-    double rate = 0.0;                   ///< current allocation (bytes/ns)
-    std::vector<std::uint32_t> links;    ///< current path (link indices)
-    std::uint32_t router_hops = 0;       ///< routers on the path
-    double path_latency = 0.0;           ///< fixed wire+router latency (ns)
-    std::deque<PendingMsg> fifo;
-  };
-
-  struct PathInfo {
-    std::vector<std::uint32_t> links;
-    std::uint32_t router_hops = 0;
-    double latency = 0.0;
+    /// FIFO window [head, tail) into bundle_msgs_: the messages injected
+    /// and not yet delivered. The bundle's messages sit there in
+    /// processing order, so an injection only advances tail.
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    double head_left = 0.0;  ///< bytes of the head message not yet drained
+    double backlog = 0.0;    ///< bytes not yet drained
+    double rate = 0.0;       ///< current allocation (bytes/ns)
+    PathInfo path;           ///< current path
+    PathInfo min_path;       ///< minimal path, built on first activation
   };
 
   /// Walks the planner's minimal step function from src to dst, honoring
@@ -228,6 +225,10 @@ class FlowNetwork {
   PathInfo build_path(std::uint32_t src_term, std::uint32_t dst_term,
                       std::int32_t proxy_group,
                       std::int32_t proxy_router) const;
+  /// build_path for a bundle, with the router-level edge links swapped in
+  /// under coarsening.
+  PathInfo bundle_path(const Bundle& b, std::int32_t proxy_group,
+                       std::int32_t proxy_router) const;
 
   // Valiant proxy draws, mirroring RoutePlanner's pick logic (private
   // there) on the per-source-terminal rng streams netsim uses.
@@ -244,7 +245,14 @@ class FlowNetwork {
   /// fluid analog of UGAL's queue-depth comparison.
   void decide_route(Bundle& b);
 
-  std::uint32_t bundle_of(std::uint32_t src, std::uint32_t dst);
+  /// Sorts messages_ into processing order and resolves each message's
+  /// bundle once: ids in first-seen processing order, one message-id list
+  /// per bundle (bundle_msgs_).
+  void build_bundles();
+  /// Injects message k (processing order) into its bundle's FIFO
+  /// window; returns true when the bundle was idle and its route was just
+  /// decided (the caller activates it).
+  bool inject(std::size_t k);
   void solve_epoch(double dt);
   /// Returns true when any bundle fully drained (the active set changed,
   /// so the next epoch must re-solve).
@@ -255,9 +263,9 @@ class FlowNetwork {
 
   // Event-driven engine (Stepping::kEvent).
   /// Returns the simulated end time (sampled: last frame boundary).
-  double run_event(const std::vector<std::uint32_t>& order, double dt);
-  /// PR-8 fixed-epoch loop, kept verbatim (Stepping::kFixedEpoch).
-  double run_fixed(const std::vector<std::uint32_t>& order, double dt);
+  double run_event(double dt);
+  /// Fixed-epoch loop (Stepping::kFixedEpoch).
+  double run_fixed(double dt);
   void solve_event_full(double dt);
   /// Shrink-only re-solve: `removed` is the accumulated completion batch
   /// since the last solve (still cap-alive in ev_flows_; zeroed here).
@@ -284,9 +292,10 @@ class FlowNetwork {
   std::vector<std::uint32_t> used_links_;     ///< links in the last solve
   std::vector<std::uint32_t> sat_links_;      ///< saturated-link list
 
-  std::vector<netsim::Message> messages_;
+  std::vector<netsim::Message> messages_;  ///< processing order once run
+  std::vector<std::uint32_t> msg_bundle_;   ///< bundle of each message
+  std::vector<std::uint32_t> bundle_msgs_;  ///< message ids, grouped by bundle
   std::vector<Bundle> bundles_;
-  std::unordered_map<std::uint64_t, std::uint32_t> bundle_index_;
   std::vector<std::uint32_t> active_;  ///< bundle ids, ascending
 
   std::vector<Rng> term_rng_;  ///< per-source Valiant draws (netsim scheme)

@@ -10,6 +10,7 @@
 #include "app/runner.hpp"
 #include "core/projection.hpp"
 #include "fault/fault.hpp"
+#include "metrics/dvr.hpp"
 
 namespace dv::app {
 namespace {
@@ -326,6 +327,81 @@ TEST(Cli, TraceRecordValidation) {
   EXPECT_THROW(cli({"trace-replay", "--trace", "/nonexistent.dvtr", "--out",
                     tmp("z.json")}),
                Error);
+}
+
+TEST(Cli, SimOutputFormatFollowsTheExtension) {
+  const std::string text_path = tmp("dv_cli_fmt_run.json");
+  const std::string dvr_path = tmp("dv_cli_fmt_run.dvr");
+  for (const auto& out : {text_path, dvr_path}) {
+    EXPECT_EQ(cli({"sim", "--p", "2", "--job", "uniform_random", "--window",
+                   "20000", "--sample-dt", "2000", "--out", out}),
+              0);
+  }
+  EXPECT_FALSE(metrics::is_dvr_file(text_path));
+  EXPECT_TRUE(metrics::is_dvr_file(dvr_path));
+  EXPECT_EQ(metrics::run_content_uid(metrics::RunMetrics::load(dvr_path)),
+            metrics::run_content_uid(metrics::RunMetrics::load(text_path)));
+  std::remove(text_path.c_str());
+  std::remove(dvr_path.c_str());
+}
+
+/// The message of the Error `fn` throws; empty when it throws none.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumbersMustParseWhole) {
+  const std::string out = tmp("dv_cli_strict.json");
+  const std::string store = tmp("dv_cli_strict_store");
+  std::remove(out.c_str());
+  fs::remove_all(store);
+  struct Case {
+    std::vector<std::string> argv;
+    std::string flag, token;
+  };
+  const std::vector<Case> cases = {
+      {{"sim", "--p", "3x", "--job", "uniform_random", "--out", out},
+       "--p", "3x"},
+      {{"sim", "--p", "2", "--scale", "2abc", "--job", "uniform_random",
+        "--out", out},
+       "--scale", "2abc"},
+      {{"sim", "--p", "2", "--window", "inf", "--job", "uniform_random",
+        "--out", out},
+       "--window", "inf"},
+      {{"sweep", "--p", "2", "--scales", "1,x", "--store", store}, "--scales",
+       "x"},
+      {{"sim", "--p", "2", "--job", "amg:12q", "--out", out}, "--job", "12q"},
+      // Counts must be non-negative integers, not truncated or wrapped.
+      {{"sim", "--p", "3.5", "--job", "uniform_random", "--out", out}, "--p",
+       "3.5"},
+      {{"sim", "--p", "2", "--seed", "-1", "--job", "uniform_random",
+        "--out", out},
+       "--seed", "-1"},
+      {{"sim", "--p", "2", "--job", "uniform_random:4:contiguous:1e3z",
+        "--out", out},
+       "--job", "1e3z"},
+  };
+  for (const auto& c : cases) {
+    const std::string msg = error_of([&] { cli(c.argv); });
+    EXPECT_NE(msg.find(c.flag), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'" + c.token + "'"), std::string::npos) << msg;
+    // A user error, not an internal check: no source location.
+    EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("src/"), std::string::npos) << msg;
+  }
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_FALSE(fs::exists(store));
+  // Whole tokens still parse, blanks and exponents included.
+  EXPECT_EQ(cli({"sim", "--p", " 2 ", "--scale", "5e-1", "--job",
+                 "uniform_random:12", "--window", "2e4", "--out", out}),
+            0);
+  std::remove(out.c_str());
 }
 
 TEST(Cli, ErrorsAreReported) {

@@ -171,6 +171,26 @@ TEST_F(ObsTest, ExperimentProfileHasCountersAndPhases) {
   EXPECT_TRUE(saw_sim);
 }
 
+TEST_F(ObsTest, FlowSimTimeIsAttributedToChildPhases) {
+  auto cfg = small_config();
+  cfg.backend = app::Backend::kFlow;
+  const auto result = app::run_experiment(cfg);
+  const obs::RunProfile& p = result.profile;
+  auto count_of = [&p](const std::string& path) -> std::uint64_t {
+    for (const auto& ph : p.phases) {
+      if (ph.path == path) return ph.count;
+    }
+    return 0;
+  };
+  // The bundle build runs once, inside sim (never in setup); injection is
+  // timed once per step, never once per message.
+  EXPECT_EQ(count_of("sim/bundles"), 1u);
+  EXPECT_EQ(count_of("setup/bundles"), 0u);
+  EXPECT_EQ(count_of("sim/ev.inject"), result.flow.epochs);
+  EXPECT_LT(count_of("sim/ev.inject"), p.counter_value("flow.messages"));
+  EXPECT_GT(count_of("sim/ev.drain"), 0u);
+}
+
 TEST_F(ObsTest, ProfilingDoesNotChangeRunMetrics) {
   // Same seeded experiment with the registry reset + captured vs. run
   // "cold": the serialized RunMetrics must be bit-identical. (capture()
