@@ -29,9 +29,8 @@ dv::metrics::RunMetrics quick_run(std::uint32_t p) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Ablation — aggregated radial views vs matrix views",
       "direct visualization of the topology does not scale; hierarchical "

@@ -39,9 +39,8 @@ dv::metrics::RunMetrics run_case(const char* workload, Algo algo,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Ablation — routing strategies under bursts and adversarial traffic",
       "PAR should beat source-adaptive UGAL on fast bursts (Sec. V-C); "

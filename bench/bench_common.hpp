@@ -68,13 +68,6 @@ int footer();
 /// Ensures ./bench_out exists and returns "bench_out/<name>".
 std::string out_path(const std::string& name);
 
-/// Applies shared bench command-line options. Currently: `--parallel N`
-/// selects the partitioned parallel simulation engine for every experiment
-/// the bench runs (exported via the DV_PARALLEL environment variable,
-/// which run_experiment reads as its default). Unknown options are ignored
-/// so figure-specific flags can coexist.
-void parse_args(int argc, char** argv);
-
 /// Standard experiment shortcuts used by several figures.
 app::ExperimentConfig paper_df5_app(const std::string& app,
                                     routing::Algo algo);

@@ -39,9 +39,8 @@ double cv(const std::vector<dv::metrics::LinkMetrics>& links) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Extension — Fat Tree via the dragonviz VA layer (128 hosts, k=8)",
       "future work of Sec. VI: other topologies through the same entity "

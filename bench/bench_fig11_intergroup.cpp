@@ -11,9 +11,8 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 11 — inter-group patterns + terminal metrics (3 apps)",
       "high per-terminal variance of avg latency and hop count; terminal "

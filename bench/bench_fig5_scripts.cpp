@@ -55,9 +55,8 @@ const char* kScriptB = R"(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner("Figure 5 — script-specified projection views",
                 "73 groups aggregated to 9 partitions (maxBins: 8); detail "
                 "view of the first 9 groups (filter)");

@@ -7,9 +7,8 @@
 #include "bench_common.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 6 — linked projection/detail/timeline views (AMG, 2550 nodes)",
       "time-range selection updates the projection; selecting high-latency "

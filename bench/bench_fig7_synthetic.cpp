@@ -39,9 +39,8 @@ double traffic_cv(const std::vector<dv::metrics::LinkMetrics>& links) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner(
       "Figure 7 — nearest neighbour vs uniform random (5,256 terminals)",
       "NN saturates specific local/terminal links; UR is load-balanced with "

@@ -47,8 +47,7 @@ std::size_t dir_bytes(const std::string& dir) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_args(argc, argv);
+int main() {
   bench::banner(
       "run store — sweep-scale catalog cold open + first render",
       "a packed lazy catalog reaches the first rendered view >= 3x faster "

@@ -13,9 +13,8 @@
 #include "util/str.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dv;
-  bench::parse_args(argc, argv);
   bench::banner("Table I — Summary of Applications",
                 "AMG 1728 ranks / 1.2 GB / 3D nearest neighbor; "
                 "AMR Boxlib 1728 / 2.2 GB / irregular and sparse; "

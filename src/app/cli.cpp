@@ -11,6 +11,7 @@
 //   dragonviz info    --run run.json
 #include "app/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -70,7 +71,8 @@ T parse_count(const std::string& what, const std::string& token) {
 }
 
 /// Minimal option parser: --key value or --key=value (repeatable keys
-/// collect). Keys in kOptionalValue may appear bare; they collect "".
+/// collect). Only the subcommand's own flags are accepted. Keys in
+/// kOptionalValue may appear bare; they collect "".
 struct Args {
   std::map<std::string, std::vector<std::string>> opts;
 
@@ -82,15 +84,21 @@ struct Args {
            key == "report" || key == "shutdown";
   }
 
-  static Args parse(int argc, char** argv, int start) {
+  static Args parse(int argc, char** argv, int start, const std::string& cmd,
+                    const std::vector<std::string>& flags) {
     Args a;
     for (int i = start; i < argc; ++i) {
       std::string key = argv[i];
       DV_REQUIRE(starts_with(key, "--"), "expected --option, got: " + key);
       key = key.substr(2);
       const auto eq = key.find('=');
+      const std::string name = key.substr(0, eq);
+      if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
+        throw Error(cmd + ": unknown option --" + name + " (see dragonviz " +
+                    cmd + " --help)");
+      }
       if (eq != std::string::npos) {
-        a.opts[key.substr(0, eq)].push_back(key.substr(eq + 1));
+        a.opts[name].push_back(key.substr(eq + 1));
         continue;
       }
       if (optional_value(key) &&
@@ -104,27 +112,31 @@ struct Args {
     return a;
   }
 
-  const std::string& one(const std::string& key) const {
+  /// The value of a single-value option, or nullptr when it is absent;
+  /// giving it more than once is an error.
+  const std::string* single(const std::string& key) const {
     const auto it = opts.find(key);
-    DV_REQUIRE(it != opts.end() && it->second.size() == 1,
-               "exactly one --" + key + " required");
-    return it->second[0];
+    if (it == opts.end()) return nullptr;
+    DV_REQUIRE(it->second.size() == 1, "--" + key + " given multiple times");
+    return &it->second[0];
+  }
+  const std::string& one(const std::string& key) const {
+    const std::string* v = single(key);
+    DV_REQUIRE(v != nullptr, "--" + key + " required");
+    return *v;
   }
   std::string one_or(const std::string& key, const std::string& dflt) const {
-    const auto it = opts.find(key);
-    if (it == opts.end()) return dflt;
-    DV_REQUIRE(it->second.size() == 1, "--" + key + " given multiple times");
-    return it->second[0];
+    const std::string* v = single(key);
+    return v ? *v : dflt;
   }
   double num_or(const std::string& key, double dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : parse_number("--" + key, it->second[0]);
+    const std::string* v = single(key);
+    return v ? parse_number("--" + key, *v) : dflt;
   }
   template <typename T>
   T count_or(const std::string& key, T dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt
-                            : parse_count<T>("--" + key, it->second[0]);
+    const std::string* v = single(key);
+    return v ? parse_count<T>("--" + key, *v) : dflt;
   }
   std::vector<std::string> many(const std::string& key) const {
     const auto it = opts.find(key);
@@ -269,7 +281,7 @@ int cmd_sim(const Args& args) {
   cfg.window = args.num_or("window", 2.0e6);
   cfg.sample_dt = args.num_or("sample-dt", 0.0);
   cfg.seed = args.count_or<std::uint64_t>("seed", 1);
-  cfg.parallel = args.count_or<std::uint32_t>("parallel", 0);
+  cfg.parallel = args.count_or<std::uint32_t>("parallel", 1);
   cfg.backend = backend_from_string(args.one_or("backend", "packet"));
   cfg.flow_epoch_dt = parse_epoch_dt(args, "sim");
   cfg.flow_coarsen = flag_on(args, "flow-coarsen", "sim");
@@ -293,8 +305,8 @@ int cmd_sim(const Args& args) {
     DV_REQUIRE(parts.size() <= 4, "bad --job spec: " + spec);
     cfg.jobs.push_back(job);
   }
-  const auto result = run_experiment(cfg);
   const std::string out = args.one("out");
+  const auto result = run_experiment(cfg);
   {
     obs::ScopedPhase phase("write");
     save_run(result.run, out);
@@ -344,7 +356,7 @@ int cmd_sweep(const Args& args) {
   cfg.base.flow_epoch_dt = parse_epoch_dt(args, "sweep");
   cfg.base.flow_coarsen = flag_on(args, "flow-coarsen", "sweep");
   cfg.base.flow_stepping = args.one_or("flow-stepping", "event");
-  cfg.base.parallel = args.count_or<std::uint32_t>("parallel", 0);
+  cfg.base.parallel = args.count_or<std::uint32_t>("parallel", 1);
   cfg.base.synthetic_bytes_per_rank =
       args.count_or("bytes-per-rank", cfg.base.synthetic_bytes_per_rank);
 
@@ -895,117 +907,203 @@ int cmd_client(const Args& args) {
   return 0;
 }
 
+/// One subcommand: its handler, the flags it accepts (without "--"), and
+/// its usage text — printed by `dragonviz <name> --help` and, for every
+/// subcommand, by `dragonviz --help`. Every accepted flag appears in the
+/// usage text (tests/test_app.cpp checks it).
+struct Command {
+  CliCommand info;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> k = {
+      {{"sim",
+        "sim      --p N --job workload[:ranks[:policy[:bytes]]] ... "
+        "--out run.json\n"
+        "           (--out *.dvr writes the packed format, else text JSON)\n"
+        "           [--routing minimal|nonminimal|adaptive|par]\n"
+        "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
+        "           [--parallel N]  (N >= 1; N>1: conservative parallel\n"
+        "           engine with N group-partitions, packet backend only;\n"
+        "           same seed => identical metrics for minimal/nonminimal\n"
+        "           routing)\n"
+        "           [--profile[=prof.json]]  (counters + phase breakdown)\n"
+        "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
+        "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
+        "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
+        "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
+        "           [--backend packet|flow]  (flow: max-min water-filling\n"
+        "           fluid model — same RunMetrics schema; measured ~28x\n"
+        "           faster on the DF(3) structured sweep, ~3x on a DF(5)\n"
+        "           MiniFE point, about even on heavy uniform random — see\n"
+        "           EXPERIMENTS.md; no faults)\n"
+        "           [--epoch-dt NS] (> 0; omit for auto)\n"
+        "           [--flow-stepping event|fixed]  (event = run to the next\n"
+        "           rate change; fixed = fixed-length epochs)\n"
+        "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
+        "           much faster under uniform-random; terminals of a router\n"
+        "           share latency/saturation attribution)\n",
+        {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
+         "parallel", "profile", "faults", "fault", "fault-retry-base",
+         "fault-retry-budget", "backend", "epoch-dt", "flow-stepping",
+         "flow-coarsen"}},
+       cmd_sim},
+      {{"sweep",
+        "sweep    --store DIR [--backend packet|flow] [--p N]\n"
+        "           [--workloads a,b|--workload W ...]\n"
+        "           [--routings a,b|--routing R ...]"
+        " [--scales 0.5,1|--scale F ...]\n"
+        "           [--window NS] [--seed N] [--sample-dt NS]"
+        " [--bytes-per-rank B]\n"
+        "           [--epoch-dt NS] [--flow-stepping S] [--flow-coarsen]\n"
+        "           [--parallel N]  (packet backend only)\n"
+        "           [--format text|dvr] [--report out.html]"
+        " [--spec S] [--title T]\n"
+        "           [--profile[=prof.json]]\n"
+        "           (fans the grid, one packed run per point, deterministic\n"
+        "           content uids; report = side-by-side shared-scale panels)\n",
+        {"store", "backend", "p", "workloads", "workload", "routings",
+         "routing", "scales", "scale", "window", "seed", "sample-dt",
+         "bytes-per-rank", "epoch-dt", "flow-stepping", "flow-coarsen",
+         "parallel", "format", "report", "spec", "title", "profile"}},
+       cmd_sweep},
+      {{"render",
+        "render   --run run.json --spec spec.json --out view.svg [--size PX]\n"
+        "           [--title T]\n"
+        "           [--focus ring:item]   (click-to-focus drill-down)\n"
+        "           [--window T0:T1]      (time-window the aggregation, ns)\n"
+        "           [--cache-stats] [--profile[=prof.json]]\n",
+        {"run", "spec", "out", "size", "title", "focus", "window",
+         "cache-stats", "profile"}},
+       cmd_render},
+      {{"store",
+        "store    --dir runs/ [--action list|add|remove|repack]\n"
+        "           [--run run.json] [--name NAME] [--format text|dvr]\n",
+        {"dir", "action", "run", "name", "format"}},
+       cmd_store},
+      {{"pack",
+        "pack     --in run.json --out run.dvr [--format text|dvr]\n"
+        "           (lossless conversion between text and packed columnar\n"
+        "           runs; every reader accepts both, bit-identically)\n",
+        {"in", "out", "format"}},
+       cmd_pack},
+      {{"inspect",
+        "inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
+        "           reads no column payload; see docs/RUN_FORMAT.md)\n",
+        {"run"}},
+       cmd_inspect},
+      {{"session",
+        "session  --run run.json --spec spec.json --out ui.svg\n"
+        "           [--t0 NS --t1 NS | --window T0:T1] [--brush axis:lo:hi]\n"
+        "           [--width PX] [--height PX] [--cache-stats]\n",
+        {"run", "spec", "out", "t0", "t1", "window", "brush", "width",
+         "height", "cache-stats"}},
+       cmd_session},
+      {{"compare",
+        "compare  --run a.json --run b.json ... --spec spec.json --out c.svg\n"
+        "           [--size PX]\n",
+        {"run", "spec", "out", "size"}},
+       cmd_compare},
+      {{"export",
+        "export   --run run.json --entity terminals|routers|local_links|"
+        "global_links --out t.csv\n",
+        {"run", "entity", "out"}},
+       cmd_export},
+      {{"info", "info     --run run.json\n", {"run"}}, cmd_info},
+      {{"report",
+        "report   --run run.json [--run more.json ...] --spec spec.json\n"
+        "           --out report.html [--title T] [--window T0:T1]"
+        " [--cache-stats]\n",
+        {"run", "spec", "out", "title", "window", "cache-stats"}},
+       cmd_report},
+      {{"serve",
+        "serve    [--listen unix:/path|tcp:PORT] [--run [name=]run.json ...]\n"
+        "           [--lazy]  (attach preloads without materializing; runs\n"
+        "           parse on first use — sweep-scale catalogs open instantly)\n"
+        "           [--store DIR ...]  (lazily attach every run of a RunStore,\n"
+        "           e.g. a sweep's output directory)\n"
+        "           [--workers N] [--max-queue N] [--max-sessions N]\n"
+        "           [--cache-capacity N] [--cache-shards N]"
+        " [--ready-file F]\n"
+        "           (multi-tenant query daemon; see docs/SERVE_PROTOCOL.md)\n",
+        {"listen", "run", "lazy", "store", "workers", "max-queue",
+         "max-sessions", "cache-capacity", "cache-shards", "ready-file"}},
+       cmd_serve},
+      {{"client",
+        "client   [--connect ADDR] [--load [name=]run.json ...]\n"
+        "           [--render --spec S --out view.svg [--run NAME] [--size PX]\n"
+        "            [--title T] [--window T0:T1] [--focus ring:item]]\n"
+        "           [--report --spec S --out report.html [--run NAME ...]]\n"
+        "           [--list] [--stats] [--shutdown]\n",
+        {"connect", "load", "render", "spec", "out", "run", "size", "title",
+         "window", "focus", "report", "list", "stats", "shutdown"}},
+       cmd_client},
+      {{"trace-record",
+        "trace-record --workload amg --ranks N --bytes B --out t.dvtr\n"
+        "           [--window NS] [--seed N]\n",
+        {"workload", "ranks", "bytes", "out", "window", "seed"}},
+       cmd_trace_record},
+      {{"trace-info", "trace-info   --trace t.dvtr\n", {"trace"}},
+       cmd_trace_info},
+      {{"trace-replay",
+        "trace-replay --trace t.dvtr --p N --out run.json\n"
+        "           [--placement P] [--routing R] [--seed N]\n"
+        "           [--sample-dt NS] [--parallel N]\n"
+        "           [--faults plan.txt] [--fault SPEC ...]\n"
+        "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
+        "           [--profile[=prof.json]]\n",
+        {"trace", "p", "out", "placement", "routing", "seed", "sample-dt",
+         "parallel", "faults", "fault", "fault-retry-base",
+         "fault-retry-budget", "profile"}},
+       cmd_trace_replay},
+  };
+  return k;
+}
+
+constexpr const char* kNames =
+    "\nworkloads: uniform_random nearest_neighbor all_to_all permutation\n"
+    "           bisection amg amr_boxlib minife\n"
+    "policies:  contiguous random_group random_router random_node\n";
+
 void print_help() {
   std::printf(
       "dragonviz — visual analytics for large-scale dragonfly networks\n\n"
-      "subcommands:\n"
-      "  sim      --p N --job workload[:ranks[:policy]] ... --out run.json\n"
-      "           (--out *.dvr writes the packed format, else text JSON)\n"
-      "           [--routing minimal|nonminimal|adaptive|par]\n"
-      "           [--scale F] [--window NS] [--sample-dt NS] [--seed N]\n"
-      "           [--parallel N]  (N>1: conservative parallel engine with\n"
-      "           N group-partitions; same seed => identical metrics for\n"
-      "           minimal/nonminimal routing; env DV_PARALLEL as default)\n"
-      "           [--profile[=prof.json]]  (counters + phase breakdown)\n"
-      "           [--faults plan.txt] [--fault SPEC ...]  (fault injection;\n"
-      "           SPEC: link:g0.r1->g2.r0@T0[:T1] | link:g0->g2@T0[:T1] |\n"
-      "           router:g1.r2@T0[:T1], times in ns, no T1 = permanent)\n"
-      "           [--fault-retry-base NS] [--fault-retry-budget N]\n"
-      "           [--backend packet|flow]  (flow: max-min water-filling\n"
-      "           fluid model — same RunMetrics schema; measured ~28x\n"
-      "           faster on the DF(3) structured sweep, ~3x on a DF(5)\n"
-      "           MiniFE point, about even on heavy uniform random — see\n"
-      "           EXPERIMENTS.md; no faults)\n"
-      "           [--epoch-dt NS] (> 0; omit for auto)\n"
-      "           [--flow-stepping event|fixed]  (event = run to the next\n"
-      "           rate change; fixed = PR-8 fixed-epoch loop)\n"
-      "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
-      "           much faster under uniform-random; terminals of a router\n"
-      "           share latency/saturation attribution)\n"
-      "  sweep    --store DIR [--backend packet|flow] [--p N]\n"
-      "           [--workloads a,b|--workload W ...]\n"
-      "           [--routings a,b|--routing R ...]"
-      " [--scales 0.5,1|--scale F ...]\n"
-      "           [--window NS] [--seed N] [--sample-dt NS]"
-      " [--bytes-per-rank B]\n"
-      "           [--epoch-dt NS] [--flow-stepping S] [--flow-coarsen]\n"
-      "           [--format text|dvr] [--report out.html]"
-      " [--spec S] [--title T]\n"
-      "           (fans the grid, one packed run per point, deterministic\n"
-      "           content uids; report = side-by-side shared-scale panels)\n"
-      "  render   --run run.json --spec spec.json --out view.svg [--size PX]\n"
-      "           [--focus ring:item]   (click-to-focus drill-down)\n"
-      "           [--window T0:T1]      (time-window the aggregation, ns)\n"
-      "           [--cache-stats] [--profile[=prof.json]]\n"
-      "  store    --dir runs/ [--action list|add|remove|repack]\n"
-      "           [--run run.json] [--name NAME] [--format text|dvr]\n"
-      "  pack     --in run.json --out run.dvr [--format text|dvr]\n"
-      "           (lossless conversion between text and packed columnar\n"
-      "           runs; every reader accepts both, bit-identically)\n"
-      "  inspect  --run run.dvr   (header, chunk directory, zone maps —\n"
-      "           reads no column payload; see docs/RUN_FORMAT.md)\n"
-      "  session  --run run.json --spec spec.json --out ui.svg\n"
-      "           [--t0 NS --t1 NS | --window T0:T1] [--brush axis:lo:hi]\n"
-      "           [--cache-stats]\n"
-      "  compare  --run a.json --run b.json ... --spec spec.json --out c.svg\n"
-      "  export   --run run.json --entity terminals|routers|local_links|"
-      "global_links --out t.csv\n"
-      "  info     --run run.json\n"
-      "  report   --run run.json [--run more.json ...] --spec spec.json\n"
-      "           --out report.html [--title T] [--window T0:T1]"
-      " [--cache-stats]\n"
-      "  serve    [--listen unix:/path|tcp:PORT] [--run [name=]run.json ...]\n"
-      "           [--lazy]  (attach preloads without materializing; runs\n"
-      "           parse on first use — sweep-scale catalogs open instantly)\n"
-      "           [--store DIR ...]  (lazily attach every run of a RunStore,\n"
-      "           e.g. a sweep's output directory)\n"
-      "           [--workers N] [--max-queue N] [--max-sessions N]\n"
-      "           [--cache-capacity N] [--cache-shards N]"
-      " [--ready-file F]\n"
-      "           (multi-tenant query daemon; see docs/SERVE_PROTOCOL.md)\n"
-      "  client   [--connect ADDR] [--load [name=]run.json ...]\n"
-      "           [--render --spec S --out view.svg [--run NAME] [--size PX]\n"
-      "            [--title T] [--window T0:T1] [--focus ring:item]]\n"
-      "           [--report --spec S --out report.html [--run NAME ...]]\n"
-      "           [--list] [--stats] [--shutdown]\n"
-      "  trace-record --workload amg --ranks N --bytes B --out t.dvtr\n"
-      "  trace-info   --trace t.dvtr\n"
-      "  trace-replay --trace t.dvtr --p N --out run.json\n"
-      "           [--placement P] [--routing R] [--sample-dt NS]"
-      " [--parallel N]\n"
-      "           [--faults plan.txt] [--fault SPEC ...]\n\n"
-      "workloads: uniform_random nearest_neighbor all_to_all permutation\n"
-      "           bisection amg amr_boxlib minife\n"
-      "policies:  contiguous random_group random_router random_node\n");
+      "subcommands:\n");
+  for (const auto& c : commands()) std::printf("  %s", c.info.usage.c_str());
+  std::printf("%s", kNames);
 }
+
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
 }  // namespace
 
+std::vector<CliCommand> cli_commands() {
+  std::vector<CliCommand> out;
+  for (const auto& c : commands()) out.push_back(c.info);
+  return out;
+}
+
 int run_cli(int argc, char** argv) {
-  if (argc < 2 || std::string(argv[1]) == "--help" ||
-      std::string(argv[1]) == "help") {
+  if (argc < 2 || is_help(argv[1]) || std::string(argv[1]) == "help") {
     print_help();
     return argc < 2 ? 1 : 0;
   }
   const std::string cmd = argv[1];
-  const Args args = Args::parse(argc, argv, 2);
-  if (cmd == "sim") return cmd_sim(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "render") return cmd_render(args);
-  if (cmd == "session") return cmd_session(args);
-  if (cmd == "compare") return cmd_compare(args);
-  if (cmd == "export") return cmd_export(args);
-  if (cmd == "info") return cmd_info(args);
-  if (cmd == "trace-record") return cmd_trace_record(args);
-  if (cmd == "trace-info") return cmd_trace_info(args);
-  if (cmd == "trace-replay") return cmd_trace_replay(args);
-  if (cmd == "report") return cmd_report(args);
-  if (cmd == "store") return cmd_store(args);
-  if (cmd == "pack") return cmd_pack(args);
-  if (cmd == "inspect") return cmd_inspect(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "client") return cmd_client(args);
-  throw Error("unknown subcommand: " + cmd + " (try --help)");
+  const auto& table = commands();
+  const auto it = std::find_if(table.begin(), table.end(), [&](const auto& c) {
+    return c.info.name == cmd;
+  });
+  if (it == table.end()) {
+    throw Error("unknown subcommand: " + cmd + " (try --help)");
+  }
+  for (int i = 2; i < argc; ++i) {
+    if (is_help(argv[i])) {
+      std::printf("usage:\n  %s%s", it->info.usage.c_str(), kNames);
+      return 0;
+    }
+  }
+  return it->run(Args::parse(argc, argv, 2, cmd, it->info.flags));
 }
 
 }  // namespace dv::app

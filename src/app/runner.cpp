@@ -1,7 +1,6 @@
 #include "app/runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -26,15 +25,6 @@ namespace {
 
 bool is_application(const std::string& name) {
   return name == "amg" || name == "amr_boxlib" || name == "minife";
-}
-
-std::uint32_t resolve_parallel(std::uint32_t requested) {
-  if (requested) return requested;
-  if (const char* env = std::getenv("DV_PARALLEL")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) return static_cast<std::uint32_t>(v);
-  }
-  return 1;
 }
 
 }  // namespace
@@ -70,6 +60,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   DV_REQUIRE(cfg.window > 0,
              "injection window must be positive (a zero-length window would "
              "inject every message at t=0 and simulate nothing)");
+  DV_REQUIRE(cfg.parallel >= 1,
+             "--parallel must be at least 1 (1 = sequential engine)");
 
   ExperimentResult out;
   // Phases: "setup" covers placement, network construction and workload
@@ -131,6 +123,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.backend == Backend::kFlow) {
     DV_REQUIRE(cfg.faults.empty(),
                "the flow backend does not model faults; use --backend packet");
+    DV_REQUIRE(cfg.parallel == 1,
+               "--parallel N > 1 requires --backend packet (the flow backend "
+               "has no parallel engine)");
     flow::FlowNetwork net(out.topo, cfg.routing, cfg.params, cfg.seed);
     net.set_jobs(out.placement);
     net.set_labels(workload_label, cfg.placement_label(), names);
@@ -175,7 +170,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   if (!cfg.faults.empty()) net.set_fault_plan(cfg.faults);
   if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
-  net.set_parallel(resolve_parallel(cfg.parallel));
+  net.set_parallel(cfg.parallel);
   setup_phase.reset();
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -45,15 +45,15 @@ struct ExperimentConfig {
   /// nearest_neighbor stride (see workload::Config::neighbor_stride);
   /// 0 = auto (terminals per router, the congestion-forming variant).
   std::uint32_t nn_stride = 0;
-  /// Simulation engine: 0 = take the DV_PARALLEL environment variable
-  /// (defaulting to 1), 1 = sequential reference, N > 1 = conservative
+  /// Simulation engine: 1 = sequential reference, N > 1 = conservative
   /// parallel engine with N partitions (clamped to the group count).
-  std::uint32_t parallel = 0;
+  /// Packet backend only; 0 is rejected.
+  std::uint32_t parallel = 1;
   netsim::Params params;
   /// Scheduled link/router outages (empty = healthy network).
   fault::FaultPlan faults;
-  /// Simulation backend. The flow backend ignores `parallel` and rejects
-  /// non-empty `faults` (no fluid fault model).
+  /// Simulation backend. The flow backend rejects `parallel` > 1 and
+  /// non-empty `faults` (no parallel engine, no fluid fault model).
   Backend backend = Backend::kPacket;
   /// Flow backend epoch length in ns (0 = auto; locked to sample_dt when
   /// sampling is on; explicit values must be positive).

@@ -259,7 +259,9 @@ void Network::set_fault_plan(const fault::FaultPlan& plan) {
 
 void Network::set_parallel(std::uint32_t workers) {
   DV_REQUIRE(!ran_, "set_parallel after run()");
-  parallel_ = workers == 0 ? 1 : workers;
+  DV_REQUIRE(workers >= 1,
+             "--parallel must be at least 1 (1 = sequential engine)");
+  parallel_ = workers;
 }
 
 double Network::lookahead() const {

@@ -116,7 +116,7 @@ class Network final : public pdes::LogicalProcess,
   /// an ordinary deterministic PDES event on both engines.
   void set_fault_plan(const fault::FaultPlan& plan);
 
-  /// Selects the engine: 0 or 1 = sequential reference, N > 1 = the
+  /// Selects the engine: 1 = sequential reference, N > 1 = the
   /// conservative parallel engine with N partitions (clamped to the number
   /// of groups and to 64). Must be called before run().
   void set_parallel(std::uint32_t workers);

@@ -18,15 +18,17 @@ namespace detail {
                        int line, const std::string& msg);
 }  // namespace detail
 
-/// Precondition check on user-facing API boundaries; throws dv::Error.
+/// Precondition check on user-facing API boundaries; throws dv::Error
+/// whose message is `msg` alone — no expression or source location.
 #define DV_REQUIRE(cond, msg)                                              \
   do {                                                                     \
     if (!(cond)) ::dv::detail::fail("requirement", #cond, __FILE__,        \
                                     __LINE__, (msg));                      \
   } while (0)
 
-/// Internal invariant check; throws dv::Error (kept on in release builds —
-/// simulation correctness matters more than the branch cost).
+/// Internal invariant check; throws dv::Error naming the expression and
+/// file:line (kept on in release builds — simulation correctness matters
+/// more than the branch cost).
 #define DV_CHECK(cond, msg)                                                \
   do {                                                                     \
     if (!(cond)) ::dv::detail::fail("invariant", #cond, __FILE__,          \

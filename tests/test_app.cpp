@@ -2,6 +2,7 @@
 // declarative config (or argv) through simulation to files on disk.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -402,6 +403,78 @@ TEST(Cli, NumbersMustParseWhole) {
                  "uniform_random:12", "--window", "2e4", "--out", out}),
             0);
   std::remove(out.c_str());
+}
+
+TEST(Cli, UnknownAndRepeatedFlagsFailBeforeAnyWork) {
+  const std::string out = tmp("dv_cli_flags.json");
+  std::remove(out.c_str());
+  const std::vector<std::string> base = {"sim", "--p", "2", "--job",
+                                         "uniform_random", "--out", out};
+  auto with = [&](std::vector<std::string> extra) {
+    auto argv = base;
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return error_of([&] { cli(argv); });
+  };
+  // A misspelt flag with a value, valueless at the end, and as --k=v.
+  for (const auto& extra : std::vector<std::vector<std::string>>{
+           {"--paralel", "4"}, {"--flow-steping"}, {"--paralel=4"}}) {
+    const std::string flag = extra[0].substr(0, extra[0].find('='));
+    const std::string msg = with(extra);
+    EXPECT_NE(msg.find("sim: unknown option " + flag), std::string::npos)
+        << msg;
+  }
+  // Single-value numeric flags reject repeats instead of taking the first.
+  EXPECT_NE(with({"--p", "3"}).find("--p given multiple times"),
+            std::string::npos);
+  EXPECT_NE(with({"--seed", "1", "--seed", "2"}).find("--seed given multiple"),
+            std::string::npos);
+  EXPECT_FALSE(fs::exists(out));
+  // The flag table and the usage text cannot drift: every accepted flag is
+  // documented in its subcommand's usage.
+  for (const auto& c : cli_commands()) {
+    for (const auto& flag : c.flags) {
+      const std::string opt = "--" + flag;
+      bool found = false;
+      for (auto at = c.usage.find(opt); at != std::string::npos && !found;
+           at = c.usage.find(opt, at + 1)) {
+        const std::size_t end = at + opt.size();
+        found = end == c.usage.size() ||
+                !(std::isalnum(static_cast<unsigned char>(c.usage[end])) ||
+                  c.usage[end] == '-');
+      }
+      EXPECT_TRUE(found) << c.name << " does not document " << opt;
+    }
+  }
+}
+
+TEST(Cli, UserErrorsCarryNoSourceLocation) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"sim", "--p", "2", "--job", "uniform_random", "--window", "0", "--out",
+       tmp("dv_cli_loc.json")},
+      {"info", "--run", "/nonexistent/dv_missing_run.json"},
+      {"render", "--run", "/nonexistent/dv_missing_run.dvr", "--spec",
+       "preset:fig4", "--out", tmp("dv_cli_loc.svg")},
+      {"sim", "--p", "2", "--job", "uniform_random", "--parallel", "0",
+       "--out", tmp("dv_cli_loc.json")},
+  };
+  for (const auto& argv : cases) {
+    const std::string msg = error_of([&] { cli(argv); });
+    EXPECT_FALSE(msg.empty()) << argv[0];
+    EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("src/"), std::string::npos) << msg;
+  }
+}
+
+TEST(Cli, EverySubcommandHasHelp) {
+  for (const auto& c : cli_commands()) {
+    for (const char* flag : {"--help", "-h"}) {
+      testing::internal::CaptureStdout();
+      const int rc = cli({c.name, flag});
+      const std::string printed = testing::internal::GetCapturedStdout();
+      EXPECT_EQ(rc, 0) << c.name << " " << flag;
+      EXPECT_NE(printed.find(c.usage), std::string::npos) << c.name;
+    }
+  }
 }
 
 TEST(Cli, ErrorsAreReported) {

@@ -152,6 +152,11 @@ TEST(FlowVsPacket, FlowOnlyOptionsAreValidatedPerBackend) {
   cfg = base_config(Backend::kFlow, "uniform_random");
   cfg.flow_stepping = "quantum";
   EXPECT_THROW(run_experiment(cfg), Error);
+  // The flow backend has no parallel engine; --parallel 4 must not be
+  // silently run sequentially.
+  cfg = base_config(Backend::kFlow, "uniform_random");
+  cfg.parallel = 4;
+  EXPECT_THROW(run_experiment(cfg), Error);
   // The same options are accepted where they mean something.
   cfg = base_config(Backend::kFlow, "uniform_random");
   cfg.flow_coarsen = true;
