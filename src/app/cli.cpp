@@ -144,17 +144,6 @@ struct Args {
   }
 };
 
-/// Explicit --epoch-dt values must be positive; omitting the flag keeps
-/// the flow backend's automatic epoch sizing.
-double parse_epoch_dt(const Args& args, const char* cmd) {
-  const double dt = args.num_or("epoch-dt", 0.0);
-  DV_REQUIRE(args.opts.find("epoch-dt") == args.opts.end() || dt > 0.0,
-             std::string(cmd) +
-                 ": --epoch-dt must be > 0 ns (omit the flag for automatic "
-                 "epoch sizing)");
-  return dt;
-}
-
 /// Boolean flag: bare `--key`, `--key=1/true/on`, or explicit off values.
 bool flag_on(const Args& args, const std::string& key, const char* cmd) {
   const auto it = args.opts.find(key);
@@ -283,7 +272,6 @@ int cmd_sim(const Args& args) {
   cfg.seed = args.count_or<std::uint64_t>("seed", 1);
   cfg.parallel = args.count_or<std::uint32_t>("parallel", 1);
   cfg.backend = backend_from_string(args.one_or("backend", "packet"));
-  cfg.flow_epoch_dt = parse_epoch_dt(args, "sim");
   cfg.flow_coarsen = flag_on(args, "flow-coarsen", "sim");
   cfg.flow_stepping = args.one_or("flow-stepping", "event");
   cfg.faults = parse_fault_args(args);
@@ -353,7 +341,6 @@ int cmd_sweep(const Args& args) {
   cfg.base.sample_dt = args.num_or("sample-dt", 0.0);
   cfg.base.seed = args.count_or<std::uint64_t>("seed", 1);
   cfg.base.backend = backend_from_string(args.one_or("backend", "flow"));
-  cfg.base.flow_epoch_dt = parse_epoch_dt(args, "sweep");
   cfg.base.flow_coarsen = flag_on(args, "flow-coarsen", "sweep");
   cfg.base.flow_stepping = args.one_or("flow-stepping", "event");
   cfg.base.parallel = args.count_or<std::uint32_t>("parallel", 1);
@@ -395,6 +382,7 @@ int cmd_sweep(const Args& args) {
 
 int cmd_render(const Args& args) {
   obs::reset();
+  const std::string out = args.one("out");
   const core::DataSet data = load_run_dataset(args.one("run"));
   auto spec = load_spec(args);
   maybe_apply_window(args, spec);
@@ -411,7 +399,6 @@ int cmd_render(const Args& args) {
   auto build_phase = std::make_unique<obs::ScopedPhase>("build");
   const core::ProjectionView view(data, spec, nullptr, &engine);
   build_phase.reset();
-  const std::string out = args.one("out");
   {
     obs::ScopedPhase phase("render");
     view.save_svg(out, args.num_or("size", 800),
@@ -541,6 +528,7 @@ int cmd_inspect(const Args& args) {
 }
 
 int cmd_session(const Args& args) {
+  const std::string out = args.one("out");
   const auto spec = load_spec(args);
   core::AnalysisSession session{load_run_dataset(args.one("run")), spec};
   const double t0 = args.num_or("t0", -1), t1 = args.num_or("t1", -1);
@@ -557,7 +545,6 @@ int cmd_session(const Args& args) {
     session.brush(parts[0], parse_number("--brush", parts[1]),
                   parse_number("--brush", parts[2]));
   }
-  const std::string out = args.one("out");
   session.save_svg(out, args.num_or("width", 1400),
                    args.num_or("height", 900));
   std::printf("wrote %s\n", out.c_str());
@@ -566,6 +553,7 @@ int cmd_session(const Args& args) {
 }
 
 int cmd_compare(const Args& args) {
+  const std::string out = args.one("out");
   const auto paths = args.many("run");
   DV_REQUIRE(paths.size() >= 2, "compare needs at least two --run files");
   std::vector<core::DataSet> datasets;
@@ -575,7 +563,6 @@ int cmd_compare(const Args& args) {
   for (const auto& d : datasets) ptrs.push_back(&d);
   const auto spec = load_spec(args);
   const core::ComparisonView cmp(ptrs, spec);
-  const std::string out = args.one("out");
   cmp.save_svg(out, args.num_or("size", 520));
   // Also print the per-job summary table (Fig. 13d style).
   const auto summaries = cmp.job_summaries();
@@ -592,9 +579,9 @@ int cmd_compare(const Args& args) {
 }
 
 int cmd_export(const Args& args) {
+  const std::string out = args.one("out");
   const auto run = metrics::RunMetrics::load(args.one("run"));
   const auto table = run.to_csv(args.one_or("entity", "terminals"));
-  const std::string out = args.one("out");
   std::ofstream os(out, std::ios::binary);
   DV_REQUIRE(os.good(), "cannot open: " + out);
   write_csv(os, table);
@@ -603,6 +590,7 @@ int cmd_export(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
+  const std::string out = args.one("out");
   const auto paths = args.many("run");
   DV_REQUIRE(!paths.empty(), "at least one --run required");
   auto spec = load_spec(args);
@@ -630,7 +618,6 @@ int cmd_report(const Args& args) {
     const core::ComparisonView cmp(ptrs, spec);
     report.comparison(cmp, "comparison under shared visual scales");
   }
-  const std::string out = args.one("out");
   report.save(out);
   std::printf("wrote %s\n", out.c_str());
   return 0;
@@ -674,6 +661,7 @@ int cmd_trace_info(const Args& args) {
 
 int cmd_trace_replay(const Args& args) {
   obs::reset();
+  const std::string out = args.one("out");
   const auto t = trace::load_binary(args.one("trace"));
   const auto p = args.count_or<std::uint32_t>("p", 3);
   const auto topo = topo::Dragonfly::canonical(p);
@@ -696,7 +684,6 @@ int cmd_trace_replay(const Args& args) {
   if (dt > 0) net.enable_sampling(dt);
   net.set_parallel(args.count_or<std::uint32_t>("parallel", 1));
   const auto run = net.run();
-  const std::string out = args.one("out");
   save_run(run, out);
   std::printf("replayed %s (%u ranks) on %s: %llu packets, end=%.0f ns\n",
               t.app.c_str(), t.ranks, topo.describe().c_str(),
@@ -938,7 +925,6 @@ const std::vector<Command>& commands() {
         "           faster on the DF(3) structured sweep, ~3x on a DF(5)\n"
         "           MiniFE point, about even on heavy uniform random — see\n"
         "           EXPERIMENTS.md; no faults)\n"
-        "           [--epoch-dt NS] (> 0; omit for auto)\n"
         "           [--flow-stepping event|fixed]  (event = run to the next\n"
         "           rate change; fixed = fixed-length epochs)\n"
         "           [--flow-coarsen]  (flow: one bundle per router pair —\n"
@@ -946,8 +932,7 @@ const std::vector<Command>& commands() {
         "           share latency/saturation attribution)\n",
         {"p", "job", "out", "routing", "scale", "window", "sample-dt", "seed",
          "parallel", "profile", "faults", "fault", "fault-retry-base",
-         "fault-retry-budget", "backend", "epoch-dt", "flow-stepping",
-         "flow-coarsen"}},
+         "fault-retry-budget", "backend", "flow-stepping", "flow-coarsen"}},
        cmd_sim},
       {{"sweep",
         "sweep    --store DIR [--backend packet|flow] [--p N]\n"
@@ -956,7 +941,7 @@ const std::vector<Command>& commands() {
         " [--scales 0.5,1|--scale F ...]\n"
         "           [--window NS] [--seed N] [--sample-dt NS]"
         " [--bytes-per-rank B]\n"
-        "           [--epoch-dt NS] [--flow-stepping S] [--flow-coarsen]\n"
+        "           [--flow-stepping S] [--flow-coarsen]\n"
         "           [--parallel N]  (packet backend only)\n"
         "           [--format text|dvr] [--report out.html]"
         " [--spec S] [--title T]\n"
@@ -965,7 +950,7 @@ const std::vector<Command>& commands() {
         "           content uids; report = side-by-side shared-scale panels)\n",
         {"store", "backend", "p", "workloads", "workload", "routings",
          "routing", "scales", "scale", "window", "seed", "sample-dt",
-         "bytes-per-rank", "epoch-dt", "flow-stepping", "flow-coarsen",
+         "bytes-per-rank", "flow-stepping", "flow-coarsen",
          "parallel", "format", "report", "spec", "title", "profile"}},
        cmd_sweep},
       {{"render",

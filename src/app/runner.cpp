@@ -131,7 +131,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     net.set_labels(workload_label, cfg.placement_label(), names);
     net.add_messages(std::move(messages));  // unused past this branch
     if (cfg.sample_dt > 0) net.enable_sampling(cfg.sample_dt);
-    if (cfg.flow_epoch_dt != 0) net.set_epoch_dt(cfg.flow_epoch_dt);
     if (cfg.flow_coarsen) net.enable_coarsening();
     {
       const std::string s = to_lower(trim(cfg.flow_stepping));

@@ -55,9 +55,6 @@ struct ExperimentConfig {
   /// Simulation backend. The flow backend rejects `parallel` > 1 and
   /// non-empty `faults` (no parallel engine, no fluid fault model).
   Backend backend = Backend::kPacket;
-  /// Flow backend epoch length in ns (0 = auto; locked to sample_dt when
-  /// sampling is on; explicit values must be positive).
-  double flow_epoch_dt = 0.0;
   /// Flow backend: aggregate demand per (src router, dst router) instead
   /// of per terminal pair. Big win for uniform-random-shaped demand
   /// (O(routers^2) bundles instead of O(terminals^2)); the tradeoff is

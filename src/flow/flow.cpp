@@ -376,8 +376,8 @@ FlowNetwork::FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
     : topo_(topo),
       algo_(algo),
       params_(params),
-      planner_(topo_, routing::Algo::kMinimal, params.adaptive, seed),
-      seed_(seed) {
+      rec_(topo_, params_, algo, seed),
+      planner_(topo_, routing::Algo::kMinimal, params.adaptive, seed) {
   params_.validate();
   nterm_ = topo_.num_terminals();
   nlocal_ = topo_.num_local_links();
@@ -407,10 +407,6 @@ FlowNetwork::FlowNetwork(const topo::Dragonfly& topo, routing::Algo algo,
   for (std::uint32_t t = 0; t < nterm_; ++t) {
     term_rng_.emplace_back(seed, (1ULL << 32) + t);
   }
-  term_finished_.assign(nterm_, 0);
-  term_sum_latency_.assign(nterm_, 0.0);
-  term_sum_hops_.assign(nterm_, 0.0);
-  term_job_.assign(nterm_, -1);
 }
 
 void FlowNetwork::add_message(const netsim::Message& m) {
@@ -419,14 +415,7 @@ void FlowNetwork::add_message(const netsim::Message& m) {
 
 void FlowNetwork::add_messages(std::vector<netsim::Message> ms) {
   DV_REQUIRE(!ran_, "add_message after run()");
-  for (const netsim::Message& m : ms) {
-    DV_REQUIRE(m.src_terminal < nterm_ && m.dst_terminal < nterm_,
-               "message endpoint outside the topology");
-    DV_REQUIRE(m.src_terminal != m.dst_terminal,
-               "message to self never enters the network");
-    DV_REQUIRE(m.bytes > 0, "empty message");
-    DV_REQUIRE(m.time >= 0.0, "negative injection time");
-  }
+  for (const netsim::Message& m : ms) rec_.check(m);
   if (messages_.empty()) {
     messages_ = std::move(ms);
   } else {
@@ -436,36 +425,19 @@ void FlowNetwork::add_messages(std::vector<netsim::Message> ms) {
 
 void FlowNetwork::set_labels(std::string workload, std::string placement,
                              std::vector<std::string> job_names) {
-  workload_label_ = std::move(workload);
-  placement_label_ = std::move(placement);
-  job_names_ = std::move(job_names);
+  rec_.set_labels(std::move(workload), std::move(placement),
+                  std::move(job_names));
 }
 
 void FlowNetwork::set_jobs(const placement::Placement& placement) {
-  DV_REQUIRE(placement.job_of.size() == term_job_.size(),
-             "placement size mismatch");
-  term_job_ = placement.job_of;
+  rec_.set_jobs(placement);
 }
 
 void FlowNetwork::enable_sampling(double dt) {
   DV_REQUIRE(!ran_, "enable_sampling after run()");
-  DV_REQUIRE(dt > 0.0, "sampling interval must be positive");
-  sample_dt_ = dt;
-  local_traffic_ts_ = metrics::SampledSeries(nlocal_, dt);
-  local_sat_ts_ = metrics::SampledSeries(nlocal_, dt);
-  global_traffic_ts_ = metrics::SampledSeries(nglobal_, dt);
-  global_sat_ts_ = metrics::SampledSeries(nglobal_, dt);
-  term_traffic_ts_ = metrics::SampledSeries(nterm_, dt);
-  term_sat_ts_ = metrics::SampledSeries(nterm_, dt);
+  rec_.enable_sampling(dt);
   prev_traffic_.assign(capacity_.size(), 0.0);
   prev_sat_.assign(capacity_.size(), 0.0);
-}
-
-void FlowNetwork::set_epoch_dt(double dt) {
-  DV_REQUIRE(!ran_, "set_epoch_dt after run()");
-  DV_REQUIRE(dt > 0.0,
-             "epoch length must be positive (omit it for auto sizing)");
-  epoch_dt_ = dt;
 }
 
 void FlowNetwork::set_stepping(Stepping s) {
@@ -488,7 +460,7 @@ void FlowNetwork::enable_coarsening() {
   link_sat_.resize(capacity_.size(), 0.0);
   link_saturated_.resize(capacity_.size(), 0);
   link_util_.resize(capacity_.size(), 0.0);
-  if (sample_dt_ > 0.0) {
+  if (rec_.sample_dt() > 0.0) {
     prev_traffic_.resize(capacity_.size(), 0.0);
     prev_sat_.resize(capacity_.size(), 0.0);
   }
@@ -514,8 +486,6 @@ FlowNetwork::PathInfo FlowNetwork::build_path(std::uint32_t src_term,
   st.src_group = static_cast<std::int32_t>(topo_.router_group(cur));
   st.decided = true;
 
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  const std::uint32_t nlocal_ports = topo_.routers_per_group() - 1;
   routing::RouteStats stats;
   Rng rng(0, 0);  // never consulted: minimal walker, decided, no faults
   for (int step = 0; step < 32; ++step) {
@@ -526,44 +496,15 @@ FlowNetwork::PathInfo FlowNetwork::build_path(std::uint32_t src_term,
       path.latency += params_.router_delay * path.router_hops;
       return path;
     }
-    if (d.kind == routing::Decision::Kind::kLocal) {
-      const std::uint32_t lport = d.port - nterm;
-      path.links.push_back(local_link(topo_.local_link_id(cur, lport)));
-      path.latency += params_.local_latency;
-      cur = topo_.router_id(
-          topo_.router_group(cur),
-          topo_.local_neighbor(topo_.router_rank(cur), lport));
-    } else {
-      const std::uint32_t channel = d.port - nterm - nlocal_ports;
-      path.links.push_back(global_link(topo_.global_link_id(cur, channel)));
-      path.latency += params_.global_latency;
-      cur = topo_.global_neighbor(cur, channel).router;
-    }
+    const netsim::Hop& hop = rec_.ports().hop(cur, d.port);
+    path.links.push_back(hop.cls == netsim::LinkClass::kLocal
+                             ? local_link(hop.id)
+                             : global_link(hop.id));
+    path.latency += hop.latency;
+    cur = hop.dst_router;
     ++path.router_hops;
   }
   throw Error("flow path walk failed to terminate");
-}
-
-std::int32_t FlowNetwork::pick_proxy_group(std::uint32_t sg, std::uint32_t dg,
-                                           Rng& rng) const {
-  if (topo_.groups() <= 2) return -1;
-  for (;;) {
-    const auto g = static_cast<std::uint32_t>(rng.next_below(topo_.groups()));
-    if (g != sg && g != dg) return static_cast<std::int32_t>(g);
-  }
-}
-
-std::int32_t FlowNetwork::pick_proxy_router(std::uint32_t group,
-                                            std::uint32_t sr,
-                                            std::uint32_t dr,
-                                            Rng& rng) const {
-  if (topo_.routers_per_group() <= 2) return -1;
-  for (;;) {
-    const auto rank = static_cast<std::uint32_t>(
-        rng.next_below(topo_.routers_per_group()));
-    const std::uint32_t r = topo_.router_id(group, rank);
-    if (r != sr && r != dr) return static_cast<std::int32_t>(r);
-  }
 }
 
 FlowNetwork::PathInfo FlowNetwork::bundle_path(
@@ -607,9 +548,9 @@ void FlowNetwork::decide_route(Bundle& b) {
         break;
       case routing::Algo::kNonMinimal: {
         const std::int32_t proxy_group =
-            dg != sg ? pick_proxy_group(sg, dg, rng) : -1;
+            dg != sg ? planner_.pick_proxy(sg, dg, rng) : -1;
         const std::int32_t proxy_router =
-            dg != sg ? -1 : pick_proxy_router(sg, sr, dr, rng);
+            dg != sg ? -1 : planner_.pick_intermediate_router(sg, sr, dr, rng);
         if (proxy_group >= 0 || proxy_router >= 0) {
           b.path = bundle_path(b, proxy_group, proxy_router);
           return;
@@ -623,7 +564,7 @@ void FlowNetwork::decide_route(Bundle& b) {
         // utilization along each candidate path. The threshold (packets)
         // is normalized by the VC buffer size to the same [0,1] scale.
         if (dg == sg) break;
-        const std::int32_t proxy = pick_proxy_group(sg, dg, rng);
+        const std::int32_t proxy = planner_.pick_proxy(sg, dg, rng);
         if (proxy < 0) break;
         PathInfo non_path = bundle_path(b, proxy, -1);
         const double q_min = path_peak_util(b.min_path);
@@ -809,12 +750,11 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
       const double arrival = completion + b.path.latency;
       const auto npkts = static_cast<std::uint64_t>(
           (m.bytes + params_.packet_size - 1) / params_.packet_size);
-      term_finished_[m.dst_terminal] += npkts;
-      term_sum_latency_[m.dst_terminal] +=
-          std::max(arrival - m.time, b.path.latency) *
-          static_cast<double>(npkts);
-      term_sum_hops_[m.dst_terminal] +=
-          static_cast<double>(b.path.router_hops) * static_cast<double>(npkts);
+      rec_.deliver(m.dst_terminal, npkts,
+                   std::max(arrival - m.time, b.path.latency) *
+                       static_cast<double>(npkts),
+                   static_cast<double>(b.path.router_hops) *
+                       static_cast<double>(npkts));
       if (coarsen_) {
         // Fan the router-level drain back out to the exact terminals: the
         // per-terminal edge links are off the coarse path, so injected /
@@ -855,27 +795,19 @@ bool FlowNetwork::drain_epoch(double t0, double dt) {
 }
 
 void FlowNetwork::push_sample_frame() {
-  auto capture = [this](std::uint32_t base, std::size_t n,
-                        metrics::SampledSeries& traffic_ts,
-                        metrics::SampledSeries& sat_ts) {
-    float* dt = traffic_ts.push_frame_raw();
-    float* ds = sat_ts.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t l = base + i;
-      dt[i] = static_cast<float>(link_traffic_[l] - prev_traffic_[l]);
-      ds[i] = static_cast<float>(link_sat_[l] - prev_sat_[l]);
-      prev_traffic_[l] = link_traffic_[l];
-      prev_sat_[l] = link_sat_[l];
-    }
+  auto capture = [this](std::uint32_t base, netsim::SeriesPair& series) {
+    series.capture(
+        [this, base](std::size_t i) { return link_traffic_[base + i]; },
+        [this, base](std::size_t i) { return link_sat_[base + i]; });
   };
-  capture(local_link(0), nlocal_, local_traffic_ts_, local_sat_ts_);
-  capture(global_link(0), nglobal_, global_traffic_ts_, global_sat_ts_);
+  capture(local_link(0), rec_.local_series());
+  capture(global_link(0), rec_.global_series());
   // Terminal frames: injected bytes, injection + ejection saturation.
   // Coarsened runs read saturation from the shared router-level links —
   // their prev marks update once per router, after the terminal loop.
   {
-    float* dt = term_traffic_ts_.push_frame_raw();
-    float* ds = term_sat_ts_.push_frame_raw();
+    float* dt = rec_.terminal_series().traffic.push_frame_raw();
+    float* ds = rec_.terminal_series().sat.push_frame_raw();
     if (coarsen_) {
       for (std::size_t t = 0; t < nterm_; ++t) {
         const auto tm = static_cast<std::uint32_t>(t);
@@ -995,7 +927,7 @@ double FlowNetwork::next_completion_target(double t) {
 
 double FlowNetwork::run_event(double dt) {
   const std::size_t nmsgs = messages_.size();
-  const bool sampled = sample_dt_ > 0.0;
+  const bool sampled = rec_.sample_dt() > 0.0;
   std::size_t next = 0;
   std::vector<std::uint32_t> pending;  // activated, not yet solved in
   std::vector<std::uint32_t> removed;  // completed, not yet solved out
@@ -1113,6 +1045,7 @@ double FlowNetwork::run_event(double dt) {
 
 double FlowNetwork::run_fixed(double dt) {
   const std::size_t nmsgs = messages_.size();
+  const bool sampled = rec_.sample_dt() > 0.0;
   double t = 0.0;
   std::size_t next = 0;
   std::vector<std::uint32_t> activated;
@@ -1125,7 +1058,7 @@ double FlowNetwork::run_fixed(double dt) {
     if (active_.empty() && next < nmsgs) {
       const double next_time = messages_[next].time;
       while (t + dt <= next_time) {
-        if (sample_dt_ > 0.0) push_sample_frame();
+        if (sampled) push_sample_frame();
         t += dt;
       }
     }
@@ -1155,7 +1088,7 @@ double FlowNetwork::run_fixed(double dt) {
     // the earliest bundle to fully drain or the next injection epoch.
     // Sampled runs step one epoch at a time — each epoch is a frame.
     double step = dt;
-    if (sample_dt_ <= 0.0 && !active_.empty()) {
+    if (!sampled && !active_.empty()) {
       double k = std::numeric_limits<double>::infinity();
       for (const std::uint32_t id : active_) {
         const Bundle& b = bundles_[id];
@@ -1171,13 +1104,13 @@ double FlowNetwork::run_fixed(double dt) {
       step = std::max(1.0, k) * dt;
     }
     need_solve = drain_epoch(t, step);
-    if (sample_dt_ > 0.0) push_sample_frame();
-    t = sample_dt_ > 0.0 ? t1 : t + step;
+    if (sampled) push_sample_frame();
+    t = sampled ? t1 : t + step;
   }
   // Sampled runs keep ticking until the frames cover the last arrival —
   // netsim's sampling loop ends only once the event queue is empty, so
   // end_time ≈ frames * dt holds for both backends.
-  if (sample_dt_ > 0.0) {
+  if (sampled) {
     while (t < max_delivery_) {
       push_sample_frame();
       t += dt;
@@ -1191,7 +1124,7 @@ metrics::RunMetrics FlowNetwork::run() {
   DV_REQUIRE(!ran_, "run() already called");
   ran_ = true;
 
-  double dt = sample_dt_ > 0.0 ? sample_dt_ : epoch_dt_;
+  double dt = rec_.sample_dt();
   if (dt <= 0.0) {
     double max_issue = 0.0;
     for (const auto& m : messages_) max_issue = std::max(max_issue, m.time);
@@ -1218,59 +1151,24 @@ metrics::RunMetrics FlowNetwork::run() {
   metrics::RunMetrics out;
   {
     obs::ScopedPhase phase("collect");
-    collect(out, end);
+    out = collect(end);
   }
   publish_run_obs(out);
   return out;
 }
 
-void FlowNetwork::collect(metrics::RunMetrics& out, double end) {
-  out.groups = topo_.groups();
-  out.routers_per_group = topo_.routers_per_group();
-  out.terminals_per_router = topo_.terminals_per_router();
-  out.global_per_router = topo_.global_per_router();
-  out.workload = workload_label_;
-  out.routing = routing::to_string(algo_);
-  out.placement = placement_label_;
-  out.job_names = job_names_;
-  out.seed = seed_;
-  out.end_time = end;
-
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  out.local_links.resize(nlocal_);
+metrics::RunMetrics FlowNetwork::collect(double end) {
+  metrics::RunMetrics out = rec_.collect(end);
   for (std::uint32_t lid = 0; lid < nlocal_; ++lid) {
-    const auto [router, lport] = topo_.local_link_ends(lid);
-    const std::uint32_t nrank =
-        topo_.local_neighbor(topo_.router_rank(router), lport);
-    metrics::LinkMetrics& l = out.local_links[lid];
-    l.src_router = router;
-    l.src_port = nterm + lport;
-    l.dst_router = topo_.router_id(topo_.router_group(router), nrank);
-    l.dst_port = nterm + (topo_.local_port(nrank, topo_.router_rank(router)) -
-                          nterm);
-    l.traffic = link_traffic_[local_link(lid)];
-    l.sat_time = link_sat_[local_link(lid)];
+    out.local_links[lid].traffic = link_traffic_[local_link(lid)];
+    out.local_links[lid].sat_time = link_sat_[local_link(lid)];
   }
-  out.global_links.resize(nglobal_);
   for (std::uint32_t gid = 0; gid < nglobal_; ++gid) {
-    const topo::GlobalEnd src = topo_.global_link_src(gid);
-    const topo::GlobalEnd dst = topo_.global_neighbor(src.router, src.channel);
-    metrics::LinkMetrics& l = out.global_links[gid];
-    l.src_router = src.router;
-    l.src_port = topo_.global_port(src.channel);
-    l.dst_router = dst.router;
-    l.dst_port = topo_.global_port(dst.channel);
-    l.traffic = link_traffic_[global_link(gid)];
-    l.sat_time = link_sat_[global_link(gid)];
+    out.global_links[gid].traffic = link_traffic_[global_link(gid)];
+    out.global_links[gid].sat_time = link_sat_[global_link(gid)];
   }
-  out.terminals.resize(nterm_);
   for (std::uint32_t tm = 0; tm < nterm_; ++tm) {
     metrics::TerminalMetrics& trow = out.terminals[tm];
-    trow.router = topo_.terminal_router(tm);
-    trow.port = topo_.terminal_slot(tm);
-    trow.packets_finished = term_finished_[tm];
-    trow.sum_latency = term_sum_latency_[tm];
-    trow.sum_hops = term_sum_hops_[tm];
     trow.data_size = link_traffic_[inj_link(tm)];
     // Coarsened runs never load the per-terminal edge links; a terminal's
     // saturation is its router's aggregate — the documented attribution
@@ -1279,18 +1177,8 @@ void FlowNetwork::collect(metrics::RunMetrics& out, double end) {
                         ? link_sat_[coarse_inj_link(trow.router)] +
                               link_sat_[coarse_ej_link(trow.router)]
                         : link_sat_[inj_link(tm)] + link_sat_[ej_link(tm)];
-    trow.job = term_job_[tm];
   }
-
-  if (sample_dt_ > 0.0) {
-    out.sample_dt = sample_dt_;
-    out.local_traffic_ts = std::move(local_traffic_ts_);
-    out.local_sat_ts = std::move(local_sat_ts_);
-    out.global_traffic_ts = std::move(global_traffic_ts_);
-    out.global_sat_ts = std::move(global_sat_ts_);
-    out.term_traffic_ts = std::move(term_traffic_ts_);
-    out.term_sat_ts = std::move(term_sat_ts_);
-  }
+  return out;
 }
 
 void FlowNetwork::publish_run_obs(const metrics::RunMetrics& out) {
@@ -1304,7 +1192,7 @@ void FlowNetwork::publish_run_obs(const metrics::RunMetrics& out) {
   obs::counter("flow.drain.events").add(drain_events_);
   obs::counter("flow.solver_rounds").add(solver_rounds_);
   obs::counter("flow.bytes").add(static_cast<std::uint64_t>(bytes_delivered_));
-  if (sample_dt_ > 0.0) {
+  if (out.has_time_series()) {
     obs::counter("flow.sample_frames").add(out.local_traffic_ts.frames());
   }
 #else

@@ -21,10 +21,11 @@
 // actually reach, falling back to a full solve when the cascade spreads.
 // Stepping::kFixedEpoch keeps the PR-8 fixed-tick loop for comparison.
 //
-// The whole point is schema fidelity: FlowNetwork emits the *same*
-// RunMetrics record (link rows with netsim's src/dst port conventions,
-// terminal rows, frame-major sampled series) so every spec, ring, report,
-// .dvr pack, and serve verb runs unchanged against either backend.
+// FlowNetwork holds the same netsim::RunRecorder as the packet simulator:
+// it reads link ids, endpoints and latencies from the shared dragonfly
+// port table, and the recorder assembles the same RunMetrics record, so
+// every spec, ring, report, .dvr pack, and serve verb runs unchanged
+// against either backend.
 //
 // What the model keeps: link traffic split, saturation ordering between
 // scenarios, latency as completion time plus fixed path latency, adaptive
@@ -39,7 +40,7 @@
 #include <vector>
 
 #include "metrics/run_metrics.hpp"
-#include "netsim/network.hpp"
+#include "netsim/recorder.hpp"
 #include "placement/placement.hpp"
 #include "routing/routing.hpp"
 #include "topology/dragonfly.hpp"
@@ -137,13 +138,9 @@ class FlowNetwork {
 
   /// Fixed-rate time-series sampling (dt in ns). When enabled, the
   /// injection quantum is locked to dt and event steps split at frame
-  /// boundaries, so frames are exactly the per-interval deltas.
+  /// boundaries, so frames are exactly the per-interval deltas. Without
+  /// sampling the quantum is 1/256 of the injection span.
   void enable_sampling(double dt);
-
-  /// Epoch length / injection quantum in ns (must be positive; ignored
-  /// while sampling — the quantum locks to the sampling dt). When never
-  /// called, the quantum is auto-sized to 1/256 of the injection span.
-  void set_epoch_dt(double dt);
 
   void set_stepping(Stepping s);
 
@@ -221,7 +218,8 @@ class FlowNetwork {
   };
 
   /// Walks the planner's minimal step function from src to dst, honoring
-  /// a preset Valiant proxy group/router, and records every link crossed.
+  /// a preset Valiant proxy group/router, and records every link crossed
+  /// (read from the shared port table).
   PathInfo build_path(std::uint32_t src_term, std::uint32_t dst_term,
                       std::int32_t proxy_group,
                       std::int32_t proxy_router) const;
@@ -230,12 +228,6 @@ class FlowNetwork {
   PathInfo bundle_path(const Bundle& b, std::int32_t proxy_group,
                        std::int32_t proxy_router) const;
 
-  // Valiant proxy draws, mirroring RoutePlanner's pick logic (private
-  // there) on the per-source-terminal rng streams netsim uses.
-  std::int32_t pick_proxy_group(std::uint32_t sg, std::uint32_t dg,
-                                Rng& rng) const;
-  std::int32_t pick_proxy_router(std::uint32_t group, std::uint32_t sr,
-                                 std::uint32_t dr, Rng& rng) const;
   /// Bottleneck utilization along a path, from the previous solve.
   double path_peak_util(const PathInfo& path) const;
 
@@ -258,7 +250,7 @@ class FlowNetwork {
   /// so the next epoch must re-solve).
   bool drain_epoch(double t0, double dt);
   void push_sample_frame();
-  void collect(metrics::RunMetrics& out, double end);
+  metrics::RunMetrics collect(double end);
   void publish_run_obs(const metrics::RunMetrics& out);
 
   // Event-driven engine (Stepping::kEvent).
@@ -279,6 +271,7 @@ class FlowNetwork {
   const topo::Dragonfly topo_;
   routing::Algo algo_;
   netsim::Params params_;
+  netsim::RunRecorder rec_;        ///< port table, identity, columns, series
   routing::RoutePlanner planner_;  ///< kMinimal walker (proxies preset)
   routing::NullProbe null_probe_;
 
@@ -300,25 +293,11 @@ class FlowNetwork {
 
   std::vector<Rng> term_rng_;  ///< per-source Valiant draws (netsim scheme)
 
-  // Terminal delivery accumulators (columnar, as in netsim).
-  std::vector<std::uint64_t> term_finished_;
-  std::vector<double> term_sum_latency_;
-  std::vector<double> term_sum_hops_;
-
-  // Sampling.
-  double sample_dt_ = 0.0;
-  double epoch_dt_ = 0.0;
-  metrics::SampledSeries local_traffic_ts_, local_sat_ts_;
-  metrics::SampledSeries global_traffic_ts_, global_sat_ts_;
-  metrics::SampledSeries term_traffic_ts_, term_sat_ts_;
+  /// Terminal frames keep their own per-link deltas, (inj - prev_inj) +
+  /// (ej - prev_ej), over the edge and router-level links; the link-class
+  /// frames go through the recorder.
   std::vector<double> prev_traffic_, prev_sat_;
 
-  std::string workload_label_ = "custom";
-  std::string placement_label_ = "custom";
-  std::vector<std::string> job_names_;
-  std::vector<std::int32_t> term_job_;
-
-  std::uint64_t seed_ = 1;
   std::uint64_t epochs_ = 0;
   std::uint64_t solver_rounds_ = 0;
   std::uint64_t solves_ = 0;

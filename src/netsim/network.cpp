@@ -13,25 +13,6 @@ namespace {
 thread_local std::int32_t t_active_partition = -1;
 }  // namespace
 
-// ----------------------------------------------------------------- Params
-
-void Params::validate() const {
-  DV_REQUIRE(terminal_bandwidth > 0 && local_bandwidth > 0 &&
-                 global_bandwidth > 0,
-             "bandwidths must be positive");
-  DV_REQUIRE(terminal_latency > 0 && local_latency > 0 && global_latency > 0,
-             "link latencies must be positive (zero latencies break both "
-             "saturation accounting and the parallel lookahead)");
-  DV_REQUIRE(router_delay >= 0, "router delay must be non-negative");
-  DV_REQUIRE(credit_latency > 0,
-             "credit latency must be positive (it bounds the conservative "
-             "lookahead window)");
-  DV_REQUIRE(packet_size > 0, "packet size must be positive");
-  DV_REQUIRE(vc_buffer_packets > 0, "vc buffer must hold at least one packet");
-  DV_REQUIRE(fault_retry_base > 0,
-             "fault retry backoff base must be positive");
-}
-
 // ----------------------------------------------------------------- LinkArray
 
 void Network::LinkArray::init(std::size_t links, std::uint32_t vcs_per_link,
@@ -106,7 +87,7 @@ std::uint64_t Network::encode_link(LinkClass c, std::uint32_t id,
          (static_cast<std::uint64_t>(vc) << 40) | id;
 }
 
-Network::LinkClass Network::link_class(std::uint64_t enc) {
+LinkClass Network::link_class(std::uint64_t enc) {
   return static_cast<LinkClass>(enc >> 48);
 }
 
@@ -123,25 +104,13 @@ std::uint32_t Network::link_vc(std::uint64_t enc) {
 Network::Network(const topo::Dragonfly& topo, routing::Algo algo,
                  Params params, std::uint64_t seed)
     : topo_(topo), params_(params),
-      planner_(topo_, algo, params.adaptive, seed), seed_(seed) {
+      planner_(topo_, algo, params.adaptive, seed),
+      rec_(topo_, params_, algo, seed) {
   params_.validate();
   ports_per_router_ = topo_.ports_per_router();
   ports_.resize(static_cast<std::size_t>(topo_.num_routers()) *
                 ports_per_router_);
   terminals_.resize(topo_.num_terminals());
-  term_finished_.assign(topo_.num_terminals(), 0);
-  term_sum_latency_.assign(topo_.num_terminals(), 0.0);
-  term_sum_hops_.assign(topo_.num_terminals(), 0.0);
-  term_rerouted_.assign(topo_.num_terminals(), 0);
-  term_dropped_.assign(topo_.num_terminals(), 0);
-  term_job_.assign(topo_.num_terminals(), -1);
-
-  hop_cache_.reserve(ports_.size());
-  for (std::uint32_t r = 0; r < topo_.num_routers(); ++r) {
-    for (std::uint32_t p = 0; p < ports_per_router_; ++p) {
-      hop_cache_.push_back(compute_hop(r, p));
-    }
-  }
 
   num_vcs_ = planner_.max_link_hops();
   const auto buf = static_cast<std::int32_t>(params_.vc_buffer_packets);
@@ -193,13 +162,7 @@ Network::Network(const topo::Dragonfly& topo, routing::Algo algo,
 
 void Network::add_message(const Message& m) {
   DV_REQUIRE(!ran_, "add_message after run()");
-  DV_REQUIRE(m.src_terminal < topo_.num_terminals() &&
-                 m.dst_terminal < topo_.num_terminals(),
-             "message terminal out of range");
-  DV_REQUIRE(m.src_terminal != m.dst_terminal,
-             "self-messages never enter the network");
-  DV_REQUIRE(m.bytes > 0, "empty message");
-  DV_REQUIRE(m.time >= 0.0, "negative message time");
+  rec_.check(m);
   messages_.push_back(m);
 }
 
@@ -209,33 +172,17 @@ void Network::add_messages(const std::vector<Message>& ms) {
 
 void Network::set_labels(std::string workload, std::string placement,
                          std::vector<std::string> job_names) {
-  workload_label_ = std::move(workload);
-  placement_label_ = std::move(placement);
-  job_names_ = std::move(job_names);
+  rec_.set_labels(std::move(workload), std::move(placement),
+                  std::move(job_names));
 }
 
 void Network::set_jobs(const placement::Placement& placement) {
-  DV_REQUIRE(placement.job_of.size() == term_job_.size(),
-             "placement size mismatch");
-  term_job_ = placement.job_of;
+  rec_.set_jobs(placement);
 }
 
 void Network::enable_sampling(double dt) {
   DV_REQUIRE(!ran_, "enable_sampling after run()");
-  DV_REQUIRE(dt > 0.0, "sampling interval must be positive");
-  sample_dt_ = dt;
-  local_traffic_ts_ = metrics::SampledSeries(topo_.num_local_links(), dt);
-  local_sat_ts_ = metrics::SampledSeries(topo_.num_local_links(), dt);
-  global_traffic_ts_ = metrics::SampledSeries(topo_.num_global_links(), dt);
-  global_sat_ts_ = metrics::SampledSeries(topo_.num_global_links(), dt);
-  term_traffic_ts_ = metrics::SampledSeries(topo_.num_terminals(), dt);
-  term_sat_ts_ = metrics::SampledSeries(topo_.num_terminals(), dt);
-  prev_local_traffic_.assign(topo_.num_local_links(), 0.0);
-  prev_local_sat_.assign(topo_.num_local_links(), 0.0);
-  prev_global_traffic_.assign(topo_.num_global_links(), 0.0);
-  prev_global_sat_.assign(topo_.num_global_links(), 0.0);
-  prev_term_traffic_.assign(topo_.num_terminals(), 0.0);
-  prev_term_sat_.assign(topo_.num_terminals(), 0.0);
+  rec_.enable_sampling(dt);
 }
 
 void Network::set_fault_plan(const fault::FaultPlan& plan) {
@@ -376,45 +323,6 @@ bool Network::port_blocked(std::uint32_t router, std::uint32_t p,
     default:
       return false;
   }
-}
-
-// ----------------------------------------------------------------- hops
-
-Network::Hop Network::compute_hop(std::uint32_t router,
-                                  std::uint32_t p) const {
-  Hop hop;
-  const std::uint32_t nterm = topo_.terminals_per_router();
-  const std::uint32_t nlocal = topo_.routers_per_group() - 1;
-  if (p < nterm) {
-    hop.cls = LinkClass::kEjection;
-    hop.dst_terminal = topo_.terminal_id(router, p);
-    hop.id = hop.dst_terminal;
-    hop.bandwidth = params_.terminal_bandwidth;
-    hop.latency = params_.terminal_latency;
-    return hop;
-  }
-  if (p < nterm + nlocal) {
-    const std::uint32_t lport = p - nterm;
-    const std::uint32_t nrank =
-        topo_.local_neighbor(topo_.router_rank(router), lport);
-    hop.cls = LinkClass::kLocal;
-    hop.dst_router = topo_.router_id(topo_.router_group(router), nrank);
-    hop.dst_port =
-        nterm + (topo_.local_port(nrank, topo_.router_rank(router)) - nterm);
-    hop.id = topo_.local_link_id(router, lport);
-    hop.bandwidth = params_.local_bandwidth;
-    hop.latency = params_.local_latency;
-    return hop;
-  }
-  const std::uint32_t channel = p - nterm - nlocal;
-  const topo::GlobalEnd ge = topo_.global_neighbor(router, channel);
-  hop.cls = LinkClass::kGlobal;
-  hop.dst_router = ge.router;
-  hop.dst_port = topo_.global_port(ge.channel);
-  hop.id = topo_.global_link_id(router, channel);
-  hop.bandwidth = params_.global_bandwidth;
-  hop.latency = params_.global_latency;
-  return hop;
 }
 
 // ----------------------------------------------------------------- injection
@@ -677,10 +585,8 @@ void Network::handle_packet_at_terminal(Ctx& ctx, std::uint32_t pid,
                                         std::uint32_t term) {
   Packet& pkt = packet(pid);
   DV_CHECK(pkt.dst == term, "packet delivered to the wrong terminal");
-  ++term_finished_[term];
-  term_sum_latency_[term] += ctx.now - pkt.inject_time;
-  term_sum_hops_[term] += pkt.router_hops;
-  if (pkt.route.fault_detour) ++term_rerouted_[term];
+  rec_.deliver(term, 1, ctx.now - pkt.inject_time, pkt.router_hops);
+  if (pkt.route.fault_detour) rec_.count_rerouted(term);
   Shard& sh = *shards_[ctx.shard];
   ++sh.packets_delivered;
   sh.bytes_delivered += pkt.size;
@@ -699,48 +605,22 @@ void Network::handle_packet_at_terminal(Ctx& ctx, std::uint32_t pid,
 // ----------------------------------------------------------------- sampling
 
 void Network::take_sample(SimTime now) {
-  // Frames are written straight into the series' frame-major storage
-  // (push_frame_raw) — no temporary frame vectors on the per-tick path.
-  // The delta arithmetic (float of a cumulative-double difference, in
-  // entity order) matches the frames the row-at-a-time version produced
-  // bit for bit.
   obs::ScopedPhase phase("sample");
-  auto capture = [now](const LinkArray& la, std::vector<double>& prev_traffic,
-                       std::vector<double>& prev_sat,
-                       metrics::SampledSeries& traffic_ts,
-                       metrics::SampledSeries& sat_ts) {
-    const std::size_t n = la.traffic.size();
-    float* dt = traffic_ts.push_frame_raw();
-    float* ds = sat_ts.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double cur_t = la.traffic[i];
-      const double cur_s = la.sat_at(static_cast<std::uint32_t>(i), now);
-      dt[i] = static_cast<float>(cur_t - prev_traffic[i]);
-      ds[i] = static_cast<float>(cur_s - prev_sat[i]);
-      prev_traffic[i] = cur_t;
-      prev_sat[i] = cur_s;
-    }
+  auto capture = [now](const LinkArray& la, SeriesPair& series) {
+    series.capture([&la](std::size_t i) { return la.traffic[i]; },
+                   [&la, now](std::size_t i) {
+                     return la.sat_at(static_cast<std::uint32_t>(i), now);
+                   });
   };
-  capture(local_links_, prev_local_traffic_, prev_local_sat_,
-          local_traffic_ts_, local_sat_ts_);
-  capture(global_links_, prev_global_traffic_, prev_global_sat_,
-          global_traffic_ts_, global_sat_ts_);
+  capture(local_links_, rec_.local_series());
+  capture(global_links_, rec_.global_series());
   // Terminal series: injected bytes and injection+ejection saturation.
-  {
-    const std::size_t n = topo_.num_terminals();
-    float* dt = term_traffic_ts_.push_frame_raw();
-    float* ds = term_sat_ts_.push_frame_raw();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto li = static_cast<std::uint32_t>(i);
-      const double cur_t = injection_.traffic[i];
-      const double cur_s =
-          injection_.sat_at(li, now) + ejection_.sat_at(li, now);
-      dt[i] = static_cast<float>(cur_t - prev_term_traffic_[i]);
-      ds[i] = static_cast<float>(cur_s - prev_term_sat_[i]);
-      prev_term_traffic_[i] = cur_t;
-      prev_term_sat_[i] = cur_s;
-    }
-  }
+  rec_.terminal_series().capture(
+      [this](std::size_t i) { return injection_.traffic[i]; },
+      [this, now](std::size_t i) {
+        const auto t = static_cast<std::uint32_t>(i);
+        return injection_.sat_at(t, now) + ejection_.sat_at(t, now);
+      });
 }
 
 // ----------------------------------------------------------------- dispatch
@@ -816,7 +696,7 @@ void Network::dispatch(Ctx& ctx, const pdes::Event& ev) {
       handle_fault_wake(ctx, static_cast<std::uint32_t>(ev.data0));
       break;
     case kEvPktDropNotify:
-      ++term_dropped_[static_cast<std::uint32_t>(ev.data0)];
+      rec_.count_dropped(static_cast<std::uint32_t>(ev.data0));
       break;
     default:
       DV_CHECK(false, "unknown event kind");
@@ -906,17 +786,17 @@ metrics::RunMetrics Network::run() {
   SimTime end = 0.0;
   {
     obs::ScopedPhase phase("sim");
-    if (sample_dt_ > 0.0) {
+    if (const double dt = rec_.sample_dt(); dt > 0.0) {
       SimTime tick = 0.0;
       if (par_) {
         while (par_->has_events()) {
-          tick += sample_dt_;
+          tick += dt;
           par_->run_until(tick);
           take_sample(tick);
         }
       } else {
         while (!sim_.queue_empty()) {
-          tick += sample_dt_;
+          tick += dt;
           sim_.run_until(tick);
           take_sample(tick);
         }
@@ -957,7 +837,7 @@ metrics::RunMetrics Network::run() {
   metrics::RunMetrics out;
   {
     obs::ScopedPhase phase("collect");
-    flush_and_collect(out, end);
+    out = collect(end);
   }
   publish_run_obs(out);
   return out;
@@ -1036,7 +916,7 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
     obs::counter("net.fault.rerouted").add(rerouted);
     obs::gauge("net.fault.entities").set(static_cast<double>(fault_.entities()));
   }
-  if (sample_dt_ > 0.0) {
+  if (out.has_time_series()) {
     obs::counter("net.sample_frames").add(out.local_traffic_ts.frames());
   }
 #else
@@ -1044,73 +924,31 @@ void Network::publish_run_obs(const metrics::RunMetrics& out) {
 #endif
 }
 
-void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
-  out.groups = topo_.groups();
-  out.routers_per_group = topo_.routers_per_group();
-  out.terminals_per_router = topo_.terminals_per_router();
-  out.global_per_router = topo_.global_per_router();
-  out.workload = workload_label_;
-  out.routing = routing::to_string(planner_.algo());
-  out.placement = placement_label_;
-  out.job_names = job_names_;
-  out.seed = seed_;
-  out.end_time = end;
-
-  out.local_links.resize(topo_.num_local_links());
-  for (std::uint32_t lid = 0; lid < topo_.num_local_links(); ++lid) {
-    const auto [router, lport] = topo_.local_link_ends(lid);
-    const Hop& hop =
-        hop_for_port(router, topo_.terminals_per_router() + lport);
-    metrics::LinkMetrics& l = out.local_links[lid];
-    l.src_router = router;
-    l.src_port = topo_.terminals_per_router() + lport;
-    l.dst_router = hop.dst_router;
-    l.dst_port = hop.dst_port;
-    l.traffic = local_links_.traffic[lid];
-    l.sat_time = local_links_.sat_at(lid, end);
-    l.retries = local_links_.retries[lid];
-    l.pkts_dropped = local_links_.drops[lid];
-    if (has_faults_) {
-      l.downtime = fault_.effective_link_downtime(false, lid, router,
-                                                  hop.dst_router, end);
+metrics::RunMetrics Network::collect(SimTime end) {
+  metrics::RunMetrics out = rec_.collect(end);
+  auto measure = [&](const LinkArray& la, bool global,
+                     std::vector<metrics::LinkMetrics>& rows) {
+    for (std::uint32_t id = 0; id < rows.size(); ++id) {
+      metrics::LinkMetrics& l = rows[id];
+      l.traffic = la.traffic[id];
+      l.sat_time = la.sat_at(id, end);
+      l.retries = la.retries[id];
+      l.pkts_dropped = la.drops[id];
+      if (has_faults_) {
+        l.downtime = fault_.effective_link_downtime(global, id, l.src_router,
+                                                    l.dst_router, end);
+      }
     }
-  }
-  out.global_links.resize(topo_.num_global_links());
-  for (std::uint32_t gid = 0; gid < topo_.num_global_links(); ++gid) {
-    const topo::GlobalEnd src = topo_.global_link_src(gid);
-    const Hop& hop = hop_for_port(src.router, topo_.global_port(src.channel));
-    metrics::LinkMetrics& l = out.global_links[gid];
-    l.src_router = src.router;
-    l.src_port = topo_.global_port(src.channel);
-    l.dst_router = hop.dst_router;
-    l.dst_port = hop.dst_port;
-    l.traffic = global_links_.traffic[gid];
-    l.sat_time = global_links_.sat_at(gid, end);
-    l.retries = global_links_.retries[gid];
-    l.pkts_dropped = global_links_.drops[gid];
-    if (has_faults_) {
-      l.downtime = fault_.effective_link_downtime(true, gid, src.router,
-                                                  hop.dst_router, end);
-    }
-  }
-  // Terminal rows assemble here from the columnar accumulators — the only
-  // place the 80-byte TerminalMetrics records are materialized.
-  out.terminals.resize(topo_.num_terminals());
+  };
+  measure(local_links_, false, out.local_links);
+  measure(global_links_, true, out.global_links);
   for (std::uint32_t t = 0; t < topo_.num_terminals(); ++t) {
     metrics::TerminalMetrics& tm = out.terminals[t];
-    tm.router = topo_.terminal_router(t);
-    tm.port = topo_.terminal_slot(t);
-    tm.packets_finished = term_finished_[t];
-    tm.sum_latency = term_sum_latency_[t];
-    tm.sum_hops = term_sum_hops_[t];
-    tm.packets_rerouted = term_rerouted_[t];
-    tm.packets_dropped = term_dropped_[t];
     tm.data_size = injection_.traffic[t];
     tm.sat_time = injection_.sat_at(t, end) + ejection_.sat_at(t, end);
-    tm.job = term_job_[t];
     if (has_faults_) {
       // A terminal is down exactly when its router is.
-      tm.downtime = fault_.router_downtime(topo_.terminal_router(t), end);
+      tm.downtime = fault_.router_downtime(tm.router, end);
     }
   }
   if (has_faults_) {
@@ -1121,18 +959,7 @@ void Network::flush_and_collect(metrics::RunMetrics& out, SimTime end) {
     out.router_retries = router_retries_;
     out.router_drops = router_drops_;
   }
-
-  if (sample_dt_ > 0.0) {
-    // The orchestrated run already sampled through `end`; just hand the
-    // series over.
-    out.sample_dt = sample_dt_;
-    out.local_traffic_ts = std::move(local_traffic_ts_);
-    out.local_sat_ts = std::move(local_sat_ts_);
-    out.global_traffic_ts = std::move(global_traffic_ts_);
-    out.global_sat_ts = std::move(global_sat_ts_);
-    out.term_traffic_ts = std::move(term_traffic_ts_);
-    out.term_sat_ts = std::move(term_sat_ts_);
-  }
+  return out;
 }
 
 }  // namespace dv::netsim

@@ -24,6 +24,11 @@
 // engine reproduces the sequential RunMetrics bit for bit at any partition
 // count. Lookahead is the minimum physical delay that can cross a
 // partition boundary: min(credit_latency, local_latency, global_latency).
+//
+// Port wiring, run identity, per-terminal delivery columns, sampled series
+// and the assembly of the RunMetrics record live in the RunRecorder
+// (netsim/recorder.hpp), which the flow backend holds too; this class
+// keeps the credit/VC state, link saturation and fault tallies.
 #pragma once
 
 #include <atomic>
@@ -37,6 +42,7 @@
 #include "metrics/run_metrics.hpp"
 #include "pdes/engine.hpp"
 #include "netsim/partition.hpp"
+#include "netsim/recorder.hpp"
 #include "pdes/parallel.hpp"
 #include "placement/placement.hpp"
 #include "routing/routing.hpp"
@@ -45,40 +51,6 @@
 #include "util/rng.hpp"
 
 namespace dv::netsim {
-
-/// Physical parameters. Bandwidths are in GB/s (== bytes/ns), latencies
-/// and delays in ns. Defaults approximate the Cray Aries-class links used
-/// in the paper's CODES configurations.
-struct Params {
-  double terminal_bandwidth = 5.25;
-  double local_bandwidth = 5.25;
-  double global_bandwidth = 4.7;
-  double terminal_latency = 30.0;
-  double local_latency = 50.0;
-  double global_latency = 300.0;
-  double router_delay = 50.0;
-  double credit_latency = 20.0;
-  std::uint32_t packet_size = 2048;       ///< bytes per packet (last may be short)
-  std::uint32_t vc_buffer_packets = 8;    ///< credits per (link, VC)
-  routing::AdaptiveParams adaptive;
-  std::uint64_t event_budget = 0;         ///< 0 = unlimited
-  /// Fault handling: a packet whose chosen output port is dead waits
-  /// fault_retry_base * 2^(attempt-1) ns between attempts; after
-  /// fault_retry_budget failed attempts it is dropped.
-  double fault_retry_base = 200.0;
-  std::uint32_t fault_retry_budget = 6;
-
-  void validate() const;
-};
-
-/// One application-level message to inject.
-struct Message {
-  std::uint32_t src_terminal = 0;
-  std::uint32_t dst_terminal = 0;
-  std::uint64_t bytes = 0;
-  SimTime time = 0.0;   ///< earliest injection time
-  std::int32_t job = -1;
-};
 
 /// A complete simulation: construct, add messages, run once.
 class Network final : public pdes::LogicalProcess,
@@ -160,8 +132,7 @@ class Network final : public pdes::LogicalProcess,
   std::uint64_t packets_delivered() const;
 
  private:
-  // ---- link identity: class + id ------------------------------------
-  enum class LinkClass : std::uint32_t { kNone, kInjection, kEjection, kLocal, kGlobal };
+  // ---- link identity: class + id + VC --------------------------------
   static std::uint64_t encode_link(LinkClass c, std::uint32_t id, std::uint32_t vc);
   static LinkClass link_class(std::uint64_t enc);
   static std::uint32_t link_id(std::uint64_t enc);
@@ -338,26 +309,13 @@ class Network final : public pdes::LogicalProcess,
   void handle_fault_wake(Ctx& ctx, std::uint32_t router);
   void return_credit(Ctx& ctx, std::uint64_t enc_link);
   void take_sample(SimTime now);
-  void flush_and_collect(metrics::RunMetrics& out, SimTime end);
+  metrics::RunMetrics collect(SimTime end);
   std::uint32_t resolve_partitions() const;
   void init_shards(std::uint32_t count);
   void publish_run_obs(const metrics::RunMetrics& out);
 
-  /// (link class, link id, downstream arrival delay, serialization rate)
-  struct Hop {
-    LinkClass cls = LinkClass::kNone;
-    std::uint32_t id = 0;
-    std::uint32_t dst_router = 0;   // for local/global
-    std::uint32_t dst_port = 0;
-    std::uint32_t dst_terminal = 0; // for ejection
-    double bandwidth = 1.0;
-    double latency = 0.0;
-  };
-  /// Derives the hop record from the topology (ctor-time only; the hot
-  /// path reads the precomputed hop_cache_ through hop_for_port).
-  Hop compute_hop(std::uint32_t router, std::uint32_t p) const;
   const Hop& hop_for_port(std::uint32_t router, std::uint32_t p) const {
-    return hop_cache_[static_cast<std::size_t>(router) * ports_per_router_ + p];
+    return rec_.ports().hop(router, p);
   }
 
   // ---- state ---------------------------------------------------------
@@ -381,18 +339,7 @@ class Network final : public pdes::LogicalProcess,
   std::vector<std::uint32_t> term_pkt_seq_; // per-terminal packet counter
   std::vector<std::uint32_t> router_partition_;
 
-  // Per-port hop records, router-major — topology and physical parameters
-  // are fixed at construction, so the hot path never recomputes them.
-  std::vector<Hop> hop_cache_;
-
-  // Terminal delivery stats, columnar: the delivery handler touches three
-  // adjacent flat arrays instead of scattering into 80-byte records; the
-  // full TerminalMetrics rows are assembled once, in flush_and_collect.
-  std::vector<std::uint64_t> term_finished_;
-  std::vector<double> term_sum_latency_;
-  std::vector<double> term_sum_hops_;
-  std::vector<std::uint64_t> term_rerouted_;
-  std::vector<std::uint64_t> term_dropped_;
+  RunRecorder rec_;  // port table, run identity, delivery columns, series
 
   // Fault injection. fault_ is immutable during the run; per-router tallies
   // are written only by the owning router's partition.
@@ -401,21 +348,6 @@ class Network final : public pdes::LogicalProcess,
   std::vector<std::uint64_t> router_retries_;
   std::vector<std::uint64_t> router_drops_;
 
-  // Sampling.
-  double sample_dt_ = 0.0;
-  metrics::SampledSeries local_traffic_ts_, local_sat_ts_;
-  metrics::SampledSeries global_traffic_ts_, global_sat_ts_;
-  metrics::SampledSeries term_traffic_ts_, term_sat_ts_;
-  std::vector<double> prev_local_traffic_, prev_local_sat_;
-  std::vector<double> prev_global_traffic_, prev_global_sat_;
-  std::vector<double> prev_term_traffic_, prev_term_sat_;
-
-  std::string workload_label_ = "custom";
-  std::string placement_label_ = "custom";
-  std::vector<std::string> job_names_;
-  std::vector<std::int32_t> term_job_;
-
-  std::uint64_t seed_ = 1;
   std::uint32_t parallel_ = 1;
   std::uint32_t partitions_used_ = 1;
   std::unique_ptr<PartitionPlan> plan_;  // parallel runs only

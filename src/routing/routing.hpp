@@ -138,15 +138,20 @@ class RoutePlanner {
   /// acyclic channel dependency graph, hence deadlock freedom).
   std::uint32_t max_link_hops() const;
 
- private:
-  Decision minimal_step(std::uint32_t router, std::uint32_t dst_terminal,
-                        std::int32_t target_group) const;
+  /// Valiant draws from `rng`: a random proxy group other than the source
+  /// and destination groups, and a random router of `group` other than the
+  /// source and destination routers (-1 when no such group or router
+  /// exists). The flow backend draws its proxies through these too.
   std::int32_t pick_proxy(std::uint32_t src_group, std::uint32_t dst_group,
                           Rng& rng) const;
   std::int32_t pick_intermediate_router(std::uint32_t group,
                                         std::uint32_t src_router,
                                         std::uint32_t dst_router,
                                         Rng& rng) const;
+
+ private:
+  Decision minimal_step(std::uint32_t router, std::uint32_t dst_terminal,
+                        std::int32_t target_group) const;
   std::uint32_t first_hop_port(std::uint32_t router, std::uint32_t target_group,
                                std::uint32_t dst_terminal) const;
 

@@ -447,6 +447,25 @@ TEST(Cli, UnknownAndRepeatedFlagsFailBeforeAnyWork) {
   }
 }
 
+TEST(Cli, MissingOutFailsBeforeReadingInput) {
+  // Each subcommand names the missing --out before it touches its input,
+  // so a long load or replay never runs only to fail at the end.
+  const std::string run = "/nonexistent/dv_missing_run.json";
+  const std::vector<std::vector<std::string>> cases = {
+      {"render", "--run", run, "--spec", "preset:overview"},
+      {"session", "--run", run, "--spec", "preset:overview"},
+      {"compare", "--run", run, "--run", run, "--spec", "preset:overview"},
+      {"report", "--run", run, "--spec", "preset:overview"},
+      {"export", "--run", run},
+      {"trace-replay", "--trace", "/nonexistent/dv_missing.dvtr", "--p", "2"},
+  };
+  for (const auto& argv : cases) {
+    const std::string msg = error_of([&] { cli(argv); });
+    EXPECT_NE(msg.find("--out required"), std::string::npos)
+        << argv[0] << ": " << msg;
+  }
+}
+
 TEST(Cli, UserErrorsCarryNoSourceLocation) {
   const std::vector<std::vector<std::string>> cases = {
       {"sim", "--p", "2", "--job", "uniform_random", "--window", "0", "--out",

@@ -402,36 +402,10 @@ TEST(FlowNetwork, ValidatesInputs) {
   EXPECT_THROW(net.add_message(msg(0, 1, 0, 0.0)), Error);        // empty
   EXPECT_THROW(net.add_message(msg(0, 1, 100, -1.0)), Error);     // time
   EXPECT_THROW(net.enable_sampling(0.0), Error);
-  EXPECT_THROW(net.set_epoch_dt(-1.0), Error);
-  EXPECT_THROW(net.set_epoch_dt(0.0), Error);
   net.add_message(msg(0, 1, 100, 0.0));
   (void)net.run();
   EXPECT_THROW(net.run(), Error);                   // single-shot
   EXPECT_THROW(net.add_message(msg(1, 2, 1, 0.0)), Error);  // post-run
-}
-
-TEST(FlowNetwork, EpochLengthDoesNotChangeTotals) {
-  const auto topo = topo::Dragonfly::canonical(2);
-  std::vector<netsim::Message> ms;
-  for (std::uint32_t t = 0; t < 16; ++t) {
-    ms.push_back(msg(4 * t, (4 * t + 5) % topo.num_terminals(), 64 * 1024,
-                     100.0 * t));
-  }
-  auto totals = [&](double epoch_dt) {
-    FlowNetwork net(topo, routing::Algo::kMinimal, {}, 9);
-    net.add_messages(ms);
-    if (epoch_dt > 0) net.set_epoch_dt(epoch_dt);
-    const auto run = net.run();
-    return std::pair<double, double>(run.total_injected(),
-                                     run.total_local_traffic() +
-                                         run.total_global_traffic());
-  };
-  const auto coarse = totals(0.0);
-  const auto fine = totals(50.0);
-  // Finer epochs refine *when* bytes move, never *how many*: minimal
-  // routing fixes the paths, so per-class traffic is epoch-invariant.
-  EXPECT_DOUBLE_EQ(coarse.first, fine.first);
-  EXPECT_NEAR(coarse.second, fine.second, coarse.second * 1e-9);
 }
 
 TEST(FlowNetwork, EventSteppingIsBitIdenticalToFixedOnAlignedCompletions) {
