@@ -1,10 +1,8 @@
 #include "json/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace dv::json {
 
@@ -97,244 +95,319 @@ bool Value::get_bool(const std::string& key, bool dflt) const {
   return v && v->is_bool() ? v->as_bool() : dflt;
 }
 
-// ---------------------------------------------------------------- Parser
+// ---------------------------------------------------------------- Reader
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
+bool is_space(char c) {
+  // The "C" locale's isspace set.
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
 
-  Value parse_value() {
-    skip_ws();
-    if (eof()) throw err("unexpected end of input");
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string('"'));
-      case '\'': return Value(parse_string('\''));
-      default:
-        if (c == '-' || c == '+' || std::isdigit(static_cast<unsigned char>(c)))
-          return parse_number();
-        return parse_word();
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Characters that can continue a number token past its digits.
+bool is_number_char(char c) {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '-' ||
+         c == '+';
+}
+
+bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+}  // namespace
+
+void Reader::skip_ws() {
+  for (;;) {
+    while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
+    if (pos_ + 1 < s_.size() && s_[pos_] == '/' && s_[pos_ + 1] == '/') {
+      while (pos_ < s_.size() && s_[pos_] != '\n') ++pos_;
+      continue;
+    }
+    if (pos_ + 1 < s_.size() && s_[pos_] == '/' && s_[pos_ + 1] == '*') {
+      const std::size_t close = s_.find("*/", pos_ + 2);
+      if (close == std::string_view::npos) {
+        pos_ = s_.size();
+        throw error("unterminated block comment");
+      }
+      pos_ = close + 2;
+      continue;
+    }
+    return;
+  }
+}
+
+char Reader::peek() {
+  skip_ws();
+  return pos_ < s_.size() ? s_[pos_] : '\0';
+}
+
+bool Reader::at_end() {
+  skip_ws();
+  return pos_ >= s_.size();
+}
+
+bool Reader::at_number() {
+  const char c = peek();
+  return c == '-' || c == '+' || is_digit(c);
+}
+
+bool Reader::at_string() {
+  const char c = peek();
+  return c == '"' || c == '\'';
+}
+
+bool Reader::consume(char c) {
+  if (peek() != c) return false;
+  ++pos_;
+  return true;
+}
+
+void Reader::expect(char c) {
+  if (!consume(c)) throw error(std::string("expected '") + c + "'");
+}
+
+void Reader::open(char c) {
+  expect(c);
+  if (++depth_ > kMaxDepth) {
+    throw error("nesting deeper than " + std::to_string(kMaxDepth) +
+                " levels");
+  }
+}
+
+bool Reader::next(std::size_t i, char close) {
+  if (i > 0 && peek() != close) {
+    if (!consume(',')) {
+      throw error(std::string("expected ',' or '") + close + "'");
     }
   }
+  if (!consume(close)) return true;
+  --depth_;
+  return false;
+}
 
-  void skip_ws() {
-    for (;;) {
-      while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
-      if (pos_ + 1 < s_.size() && s_[pos_] == '/' && s_[pos_ + 1] == '/') {
-        while (!eof() && peek() != '\n') ++pos_;
-        continue;
-      }
-      if (pos_ + 1 < s_.size() && s_[pos_] == '/' && s_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < s_.size() &&
-               !(s_[pos_] == '*' && s_[pos_ + 1] == '/'))
-          ++pos_;
-        if (pos_ + 1 >= s_.size()) throw err("unterminated block comment");
-        pos_ += 2;
-        continue;
-      }
+bool Reader::next_key(std::size_t i, std::string& key) {
+  if (!next(i, '}')) return false;
+  if (at_string()) {
+    key.clear();
+    read_string(&key);
+  } else {
+    // Relaxed dialect: bare identifier key.
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() &&
+           (is_alpha(s_[pos_]) || is_digit(s_[pos_]) || s_[pos_] == '_' ||
+            s_[pos_] == '$')) {
+      ++pos_;
+    }
+    if (pos_ == start) throw error("expected object key");
+    key.assign(s_.substr(start, pos_ - start));
+  }
+  expect(':');
+  return true;
+}
+
+double Reader::number() {
+  if (!at_number()) throw error("expected a number");
+  const std::size_t start = pos_;
+  if (s_[pos_] == '-' || s_[pos_] == '+') ++pos_;
+  // Fast path: up to 15 plain digits are an exact integer, which is what
+  // strtod returns for them (most values in a run file are small counts).
+  std::uint64_t whole = 0;
+  const std::size_t digits_at = pos_;
+  while (pos_ < s_.size() && is_digit(s_[pos_]) && pos_ - digits_at < 15) {
+    whole = whole * 10 + static_cast<std::uint64_t>(s_[pos_++] - '0');
+  }
+  if (pos_ > digits_at && (pos_ >= s_.size() || !is_number_char(s_[pos_]))) {
+    const auto v = static_cast<double>(whole);
+    return s_[start] == '-' ? -v : v;
+  }
+  while (pos_ < s_.size()) {
+    const char c = s_[pos_];
+    if (is_digit(c) || c == '.' || c == 'e' || c == 'E' ||
+        ((c == '-' || c == '+') &&
+         (s_[pos_ - 1] == 'e' || s_[pos_ - 1] == 'E'))) {
+      ++pos_;
+    } else {
       break;
     }
   }
-
-  bool eof() const { return pos_ >= s_.size(); }
-  char peek() const { return s_[pos_]; }
-  std::size_t pos() const { return pos_; }
-  bool consume(char c) {
-    if (!eof() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
+  const char* first = s_.data() + start;
+  const char* last = s_.data() + pos_;
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc() && end == last) return v;
+  // from_chars rejects a leading '+' and out-of-range exponents, which
+  // strtod accepts (as +-HUGE_VAL or a denormal/zero); strtod decides.
+  const std::string tok(first, last);
+  char* tok_end = nullptr;
+  v = std::strtod(tok.c_str(), &tok_end);
+  if (tok_end == tok.c_str() || *tok_end != '\0') {
+    throw error_at(start, "invalid number: " + tok);
   }
+  return v;
+}
 
-  Error err(const std::string& msg) const {
-    std::size_t line = 1, col = 1;
-    for (std::size_t i = 0; i < pos_ && i < s_.size(); ++i) {
-      if (s_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    std::ostringstream os;
-    os << "json parse error at line " << line << ", column " << col << ": "
-       << msg;
-    return Error(os.str());
-  }
+std::string Reader::string() {
+  std::string out;
+  read_string(&out);
+  return out;
+}
 
- private:
-  Value parse_object() {
-    expect('{');
-    Object obj;
-    skip_ws();
-    if (consume('}')) return Value(std::move(obj));
-    for (;;) {
-      skip_ws();
-      std::string key = parse_key();
-      skip_ws();
-      expect(':');
-      obj[key] = parse_value();
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        if (consume('}')) return Value(std::move(obj));  // trailing comma
+void Reader::read_string(std::string* out) {
+  if (!at_string()) throw error("expected a string");
+  const std::size_t open = pos_;
+  const char quote = s_[pos_++];
+  for (;;) {
+    std::size_t run = pos_;
+    while (run < s_.size() && s_[run] != quote && s_[run] != '\\') ++run;
+    if (out) out->append(s_.substr(pos_, run - pos_));
+    pos_ = run;
+    if (pos_ >= s_.size()) throw error_at(open, "unterminated string");
+    if (s_[pos_++] == quote) return;
+    if (pos_ >= s_.size()) throw error("unterminated escape");
+    const char c = s_[pos_++];
+    char plain = 0;
+    switch (c) {
+      case 'n': plain = '\n'; break;
+      case 't': plain = '\t'; break;
+      case 'r': plain = '\r'; break;
+      case 'b': plain = '\b'; break;
+      case 'f': plain = '\f'; break;
+      case '/':
+      case '\\':
+      case '"':
+      case '\'': plain = c; break;
+      case 'u': {
+        if (pos_ + 4 > s_.size()) throw error("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = s_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else throw error("invalid \\u escape");
+        }
+        if (!out) continue;
+        // Encode as UTF-8 (basic multilingual plane only).
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
         continue;
       }
-      expect('}');
+      default:
+        throw error(std::string("invalid escape \\") + c);
+    }
+    if (out) out->push_back(plain);
+  }
+}
+
+std::string_view Reader::word() {
+  skip_ws();
+  const std::size_t start = pos_;
+  while (pos_ < s_.size() && is_alpha(s_[pos_])) ++pos_;
+  return s_.substr(start, pos_ - start);
+}
+
+void Reader::skip_value() {
+  const char c = peek();
+  if (c == '{') {
+    begin_object();
+    std::string key;
+    for (std::size_t i = 0; next_key(i, key); ++i) skip_value();
+  } else if (c == '[') {
+    begin_array();
+    for (std::size_t i = 0; next_item(i); ++i) skip_value();
+  } else if (at_string()) {
+    read_string(nullptr);
+  } else if (at_number()) {
+    number();
+  } else if (at_end()) {
+    throw error("unexpected end of input");
+  } else {
+    const std::string_view w = word();
+    if (w != "true" && w != "false" && w != "null") {
+      throw error("unexpected token '" + std::string(w) + "'");
+    }
+  }
+}
+
+void Reader::finish() {
+  if (!at_end()) throw error("trailing content after json value");
+}
+
+Error Reader::error_at(std::size_t pos, const std::string& msg) const {
+  std::size_t line = 1, col = 1;
+  for (std::size_t i = 0; i < pos && i < s_.size(); ++i) {
+    if (s_[i] == '\n') {
+      ++line;
+      col = 1;
+    } else {
+      ++col;
+    }
+  }
+  return Error("json parse error at line " + std::to_string(line) +
+               ", column " + std::to_string(col) + ": " + msg);
+}
+
+// ------------------------------------------------------------- DOM parse
+
+namespace {
+
+Value read_value(Reader& r) {
+  switch (r.peek()) {
+    case '{': {
+      Object obj;
+      r.begin_object();
+      std::string key;
+      for (std::size_t i = 0; r.next_key(i, key); ++i) obj[key] = read_value(r);
       return Value(std::move(obj));
     }
-  }
-
-  Value parse_array() {
-    expect('[');
-    Array arr;
-    skip_ws();
-    if (consume(']')) return Value(std::move(arr));
-    for (;;) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        if (consume(']')) return Value(std::move(arr));  // trailing comma
-        continue;
-      }
-      expect(']');
+    case '[': {
+      Array arr;
+      r.begin_array();
+      for (std::size_t i = 0; r.next_item(i); ++i) arr.push_back(read_value(r));
       return Value(std::move(arr));
     }
+    default:
+      break;
   }
-
-  std::string parse_key() {
-    if (eof()) throw err("expected object key");
-    if (peek() == '"' || peek() == '\'') return parse_string(peek());
-    // Relaxed dialect: bare identifier key.
-    std::string key;
-    while (!eof() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_' || peek() == '$')) {
-      key.push_back(s_[pos_++]);
-    }
-    if (key.empty()) throw err("expected object key");
-    return key;
-  }
-
-  std::string parse_string(char quote) {
-    expect(quote);
-    std::string out;
-    for (;;) {
-      if (eof()) throw err("unterminated string");
-      char c = s_[pos_++];
-      if (c == quote) return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (eof()) throw err("unterminated escape");
-      c = s_[pos_++];
-      switch (c) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case '/': out.push_back('/'); break;
-        case '\\': out.push_back('\\'); break;
-        case '"': out.push_back('"'); break;
-        case '\'': out.push_back('\''); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) throw err("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else throw err("invalid \\u escape");
-          }
-          // Encode as UTF-8 (basic multilingual plane only).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          throw err(std::string("invalid escape \\") + c);
-      }
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-' || peek() == '+') ++pos_;
-    while (!eof() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                      peek() == '.' || peek() == 'e' || peek() == 'E' ||
-                      ((peek() == '-' || peek() == '+') &&
-                       (s_[pos_ - 1] == 'e' || s_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') throw err("invalid number: " + tok);
-    return Value(v);
-  }
-
-  Value parse_word() {
-    std::string word;
-    while (!eof() && std::isalpha(static_cast<unsigned char>(peek()))) {
-      word.push_back(s_[pos_++]);
-    }
-    if (word == "true") return Value(true);
-    if (word == "false") return Value(false);
-    if (word == "null") return Value(nullptr);
-    throw err("unexpected token '" + word + "'");
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (eof() || peek() != c) {
-      throw err(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  if (r.at_string()) return Value(r.string());
+  if (r.at_number()) return Value(r.number());
+  if (r.at_end()) throw r.error("unexpected end of input");
+  const std::string_view w = r.word();
+  if (w == "true") return Value(true);
+  if (w == "false") return Value(false);
+  if (w == "null") return Value(nullptr);
+  throw r.error("unexpected token '" + std::string(w) + "'");
+}
 
 }  // namespace
 
 Value parse(const std::string& text) {
-  Parser p(text);
-  Value v = p.parse_value();
-  p.skip_ws();
-  if (!p.eof()) throw p.err("trailing content after json value");
+  Reader r(text);
+  Value v = read_value(r);
+  r.finish();
   return v;
 }
 
 Value parse_script(const std::string& text) {
-  Parser p(text);
+  Reader r(text);
   Array items;
-  items.push_back(p.parse_value());
-  p.skip_ws();
-  while (!p.eof()) {
-    if (!p.consume(',')) throw p.err("expected ',' between script entries");
-    p.skip_ws();
-    if (p.eof()) break;  // trailing comma
-    items.push_back(p.parse_value());
-    p.skip_ws();
+  items.push_back(read_value(r));
+  while (!r.at_end()) {
+    if (!r.consume(',')) throw r.error("expected ',' between script entries");
+    if (r.at_end()) break;  // trailing comma
+    items.push_back(read_value(r));
   }
   if (items.size() == 1 && items[0].is_array()) return items[0];
   return Value(std::move(items));
@@ -342,93 +415,98 @@ Value parse_script(const std::string& text) {
 
 // ---------------------------------------------------------------- Writer
 
-namespace {
+Writer& Writer::number(double d) {
+  if (!std::isfinite(d)) return raw("null");
+  char buf[32];
+  std::to_chars_result r{};
+  if (std::fabs(d) < 1e15 &&
+      static_cast<double>(static_cast<long long>(d)) == d) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    // Same text as printf("%.17g").
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
+  }
+  out_.append(buf, r.ptr);
+  return *this;
+}
 
-void dump_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
+Writer& Writer::string(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_.push_back('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
+        out_ += "\\u00";
+        out_.push_back(kHex[c >> 4]);
+        out_.push_back(kHex[c & 0xF]);
     }
   }
-  os << '"';
+  out_.append(s.substr(run));
+  out_.push_back('"');
+  return *this;
 }
 
-void dump_number(std::ostringstream& os, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
-    os << "null";  // JSON has no NaN/inf
-    return;
-  }
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    os << static_cast<long long>(d);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  os << buf;
-}
+namespace {
 
-void dump_impl(std::ostringstream& os, const Value& v, int indent,
-               int depth) {
+void dump_impl(Writer& w, const Value& v, int indent, int depth) {
   auto newline = [&](int d) {
     if (indent >= 0) {
-      os << '\n';
-      for (int i = 0; i < indent * d; ++i) os << ' ';
+      w.raw('\n');
+      for (int i = 0; i < indent * d; ++i) w.raw(' ');
     }
   };
   switch (v.type()) {
-    case Type::Null: os << "null"; break;
-    case Type::Bool: os << (v.as_bool() ? "true" : "false"); break;
-    case Type::Number: dump_number(os, v.as_number()); break;
-    case Type::String: dump_string(os, v.as_string()); break;
+    case Type::Null: w.raw("null"); break;
+    case Type::Bool: w.raw(v.as_bool() ? "true" : "false"); break;
+    case Type::Number: w.number(v.as_number()); break;
+    case Type::String: w.string(v.as_string()); break;
     case Type::Array: {
       const auto& arr = v.as_array();
       if (arr.empty()) {
-        os << "[]";
+        w.raw("[]");
         break;
       }
-      os << '[';
+      w.raw('[');
       for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i) os << ',';
+        if (i) w.raw(',');
         newline(depth + 1);
-        dump_impl(os, arr[i], indent, depth + 1);
+        dump_impl(w, arr[i], indent, depth + 1);
       }
       newline(depth);
-      os << ']';
+      w.raw(']');
       break;
     }
     case Type::Object: {
       const auto& obj = v.as_object();
       if (obj.empty()) {
-        os << "{}";
+        w.raw("{}");
         break;
       }
-      os << '{';
+      w.raw('{');
       bool first = true;
       for (const auto& [k, val] : obj) {
-        if (!first) os << ',';
+        if (!first) w.raw(',');
         first = false;
         newline(depth + 1);
-        dump_string(os, k);
-        os << (indent >= 0 ? ": " : ":");
-        dump_impl(os, val, indent, depth + 1);
+        w.string(k);
+        w.raw(indent >= 0 ? ": " : ":");
+        dump_impl(w, val, indent, depth + 1);
       }
       newline(depth);
-      os << '}';
+      w.raw('}');
       break;
     }
   }
@@ -437,9 +515,9 @@ void dump_impl(std::ostringstream& os, const Value& v, int indent,
 }  // namespace
 
 std::string dump(const Value& v, int indent) {
-  std::ostringstream os;
-  dump_impl(os, v, indent, 0);
-  return os.str();
+  Writer w;
+  dump_impl(w, v, indent, 0);
+  return w.take();
 }
 
 }  // namespace dv::json

@@ -1,9 +1,11 @@
 #include "metrics/run_metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <sstream>
+#include <optional>
 
+#include "json/json.hpp"
 #include "metrics/dvr.hpp"
 #include "util/kernels.hpp"
 #include "util/str.hpp"
@@ -146,222 +148,465 @@ std::uint64_t RunMetrics::total_packets_finished() const {
   return s;
 }
 
+// ------------------------------------------------------------ text format
+//
+// One JSON object, streamed between the bytes and the columns with no
+// json::Value tree (docs/RUN_FORMAT.md, "Text format").
+
 namespace {
 
-json::Value links_to_json(const std::vector<LinkMetrics>& links) {
-  json::Array arr;
-  arr.reserve(links.size());
-  for (const auto& l : links) {
-    json::Array row;
-    row.emplace_back(l.src_router);
-    row.emplace_back(l.src_port);
-    row.emplace_back(l.dst_router);
-    row.emplace_back(l.dst_port);
-    row.emplace_back(l.traffic);
-    row.emplace_back(l.sat_time);
-    row.emplace_back(l.downtime);
-    row.emplace_back(l.retries);
-    row.emplace_back(l.pkts_dropped);
-    arr.emplace_back(std::move(row));
-  }
-  return json::Value(std::move(arr));
+// Column names of the text rows, for error messages.
+constexpr const char* kLinkColumns[] = {
+    "src_router", "src_port", "dst_router", "dst_port", "traffic",
+    "sat_time", "downtime", "retries", "pkts_dropped"};
+constexpr const char* kTerminalColumns[] = {
+    "router", "port", "data_size", "sat_time", "packets_finished",
+    "sum_latency", "sum_hops", "job", "packets_rerouted", "packets_dropped",
+    "downtime"};
+
+struct SeriesField {
+  const char* key;
+  SampledSeries RunMetrics::*member;
+};
+constexpr SeriesField kSeries[] = {
+    {"local_traffic_ts", &RunMetrics::local_traffic_ts},
+    {"local_sat_ts", &RunMetrics::local_sat_ts},
+    {"global_traffic_ts", &RunMetrics::global_traffic_ts},
+    {"global_sat_ts", &RunMetrics::global_sat_ts},
+    {"term_traffic_ts", &RunMetrics::term_traffic_ts},
+    {"term_sat_ts", &RunMetrics::term_sat_ts},
+};
+
+// ---- writer
+
+[[noreturn]] void throw_non_finite(const std::string& where, double v) {
+  throw Error("cannot write the run as text: " + where + " is " +
+              (std::isnan(v) ? "NaN" : v > 0 ? "infinity" : "-infinity") +
+              ", which JSON cannot hold; save it as .dvr to keep the value");
 }
 
-std::vector<LinkMetrics> links_from_json(const json::Value& v) {
-  std::vector<LinkMetrics> out;
-  for (const auto& rowv : v.as_array()) {
-    const auto& row = rowv.as_array();
-    // 6-column rows predate fault injection; accept both layouts.
-    DV_REQUIRE(row.size() == 6 || row.size() == 9, "bad link row");
-    LinkMetrics l;
-    l.src_router = static_cast<std::uint32_t>(row[0].as_int());
-    l.src_port = static_cast<std::uint32_t>(row[1].as_int());
-    l.dst_router = static_cast<std::uint32_t>(row[2].as_int());
-    l.dst_port = static_cast<std::uint32_t>(row[3].as_int());
-    l.traffic = row[4].as_number();
-    l.sat_time = row[5].as_number();
-    if (row.size() == 9) {
-      l.downtime = row[6].as_number();
-      l.retries = static_cast<std::uint64_t>(row[7].as_int());
-      l.pkts_dropped = static_cast<std::uint64_t>(row[8].as_int());
+void put_finite(json::Writer& w, double v, const std::string& where) {
+  if (!std::isfinite(v)) throw_non_finite(where, v);
+  w.number(v);
+}
+
+/// One link or terminal row; `names` labels the columns for the error.
+template <std::size_t N>
+void put_row(json::Writer& w, const char* section, std::size_t row,
+             const double (&cells)[N], const char* const (&names)[N]) {
+  w.raw(row ? ",[" : "[");
+  for (std::size_t c = 0; c < N; ++c) {
+    if (c) w.raw(',');
+    if (!std::isfinite(cells[c])) {
+      throw_non_finite(std::string(section) + " row " + std::to_string(row) +
+                           ", column " + std::to_string(c) + " (" +
+                           names[c] + ")",
+                       cells[c]);
     }
-    out.push_back(l);
+    w.number(cells[c]);
+  }
+  w.raw(']');
+}
+
+void put_links(json::Writer& w, const char* key,
+               const std::vector<LinkMetrics>& links) {
+  w.raw(",\"").raw(key).raw("\":[");
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const LinkMetrics& l = links[i];
+    const double cells[] = {static_cast<double>(l.src_router),
+                            static_cast<double>(l.src_port),
+                            static_cast<double>(l.dst_router),
+                            static_cast<double>(l.dst_port),
+                            l.traffic,
+                            l.sat_time,
+                            l.downtime,
+                            static_cast<double>(l.retries),
+                            static_cast<double>(l.pkts_dropped)};
+    put_row(w, key, i, cells, kLinkColumns);
+  }
+  w.raw(']');
+}
+
+void put_terminals(json::Writer& w, const std::vector<TerminalMetrics>& ts) {
+  w.raw(",\"terminals\":[");
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const TerminalMetrics& t = ts[i];
+    const double cells[] = {static_cast<double>(t.router),
+                            static_cast<double>(t.port),
+                            t.data_size,
+                            t.sat_time,
+                            static_cast<double>(t.packets_finished),
+                            t.sum_latency,
+                            t.sum_hops,
+                            static_cast<double>(t.job),
+                            static_cast<double>(t.packets_rerouted),
+                            static_cast<double>(t.packets_dropped),
+                            t.downtime};
+    put_row(w, "terminals", i, cells, kTerminalColumns);
+  }
+  w.raw(']');
+}
+
+void put_counts(json::Writer& w, const std::vector<std::uint64_t>& counts) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (i) w.raw(',');
+    w.number(static_cast<double>(counts[i]));
+  }
+}
+
+void put_series(json::Writer& w, const char* key, const SampledSeries& s) {
+  w.raw(",\"").raw(key).raw("\":{\"entities\":");
+  w.number(static_cast<double>(s.entities())).raw(",\"dt\":");
+  put_finite(w, s.dt(), std::string(key) + " dt");
+  w.raw(",\"frames\":[");
+  const float* v = s.data();
+  for (std::size_t f = 0; f < s.frames(); ++f) {
+    w.raw(f ? ",[" : "[");
+    for (std::size_t e = 0; e < s.entities(); ++e, ++v) {
+      if (e) w.raw(',');
+      if (!std::isfinite(*v)) {
+        throw_non_finite(std::string(key) + " frame " + std::to_string(f) +
+                             ", entity " + std::to_string(e),
+                         *v);
+      }
+      w.number(static_cast<double>(*v));
+    }
+    w.raw(']');
+  }
+  w.raw("]}");
+}
+
+// ---- reader
+
+std::int64_t to_int(double v) {
+  return static_cast<std::int64_t>(std::llround(v));
+}
+
+/// Reads an array of rows of N numbers, or of the `legacy` width that
+/// predates fault injection; fill(row, cells, width) converts each one.
+template <std::size_t N, class Row, class Fill>
+std::vector<Row> read_rows(json::Reader& r, std::size_t legacy, Fill fill) {
+  std::vector<Row> out;
+  r.begin_array();
+  for (std::size_t i = 0; r.next_item(i); ++i) {
+    r.peek();
+    const std::size_t at = r.pos();
+    double cells[N] = {};
+    std::size_t width = 0;
+    r.begin_array();
+    for (; r.next_item(width); ++width) {
+      const double v = r.number();
+      if (width < N) cells[width] = v;
+    }
+    if (width != N && width != legacy) {
+      throw r.error_at(at, "row " + std::to_string(i) + " has " +
+                               std::to_string(width) + " columns, expected " +
+                               std::to_string(N) + " or the legacy " +
+                               std::to_string(legacy));
+    }
+    fill(out.emplace_back(), cells, width);
   }
   return out;
 }
 
-json::Value series_to_json(const SampledSeries& s) {
-  json::Object o;
-  o["entities"] = json::Value(s.entities());
-  o["dt"] = json::Value(s.dt());
-  json::Array frames;
-  for (std::size_t f = 0; f < s.frames(); ++f) {
-    json::Array frame;
-    frame.reserve(s.entities());
-    for (std::size_t e = 0; e < s.entities(); ++e) {
-      frame.emplace_back(static_cast<double>(s.at(f, e)));
-    }
-    frames.emplace_back(std::move(frame));
-  }
-  o["frames"] = json::Value(std::move(frames));
-  return json::Value(std::move(o));
+std::vector<LinkMetrics> read_links(json::Reader& r) {
+  return read_rows<9, LinkMetrics>(
+      r, 6, [](LinkMetrics& l, const double* c, std::size_t width) {
+        l.src_router = static_cast<std::uint32_t>(to_int(c[0]));
+        l.src_port = static_cast<std::uint32_t>(to_int(c[1]));
+        l.dst_router = static_cast<std::uint32_t>(to_int(c[2]));
+        l.dst_port = static_cast<std::uint32_t>(to_int(c[3]));
+        l.traffic = c[4];
+        l.sat_time = c[5];
+        if (width == 9) {
+          l.downtime = c[6];
+          l.retries = static_cast<std::uint64_t>(to_int(c[7]));
+          l.pkts_dropped = static_cast<std::uint64_t>(to_int(c[8]));
+        }
+      });
 }
 
-SampledSeries series_from_json(const json::Value& v) {
-  const auto n = static_cast<std::size_t>(v.at("entities").as_int());
-  SampledSeries s(n, v.at("dt").as_number());
-  for (const auto& framev : v.at("frames").as_array()) {
-    const auto& frame = framev.as_array();
-    DV_REQUIRE(frame.size() == n, "bad series frame width");
-    std::vector<float> deltas(n);
-    for (std::size_t e = 0; e < n; ++e) {
-      deltas[e] = static_cast<float>(frame[e].as_number());
-    }
-    s.push_frame(deltas);
+std::vector<TerminalMetrics> read_terminals(json::Reader& r) {
+  return read_rows<11, TerminalMetrics>(
+      r, 8, [](TerminalMetrics& t, const double* c, std::size_t width) {
+        t.router = static_cast<std::uint32_t>(to_int(c[0]));
+        t.port = static_cast<std::uint32_t>(to_int(c[1]));
+        t.data_size = c[2];
+        t.sat_time = c[3];
+        t.packets_finished = static_cast<std::uint64_t>(to_int(c[4]));
+        t.sum_latency = c[5];
+        t.sum_hops = c[6];
+        t.job = static_cast<std::int32_t>(to_int(c[7]));
+        if (width == 11) {
+          t.packets_rerouted = static_cast<std::uint64_t>(to_int(c[8]));
+          t.packets_dropped = static_cast<std::uint64_t>(to_int(c[9]));
+          t.downtime = c[10];
+        }
+      });
+}
+
+std::vector<double> read_numbers(json::Reader& r) {
+  std::vector<double> out;
+  r.begin_array();
+  for (std::size_t i = 0; r.next_item(i); ++i) out.push_back(r.number());
+  return out;
+}
+
+std::vector<std::uint64_t> read_counts(json::Reader& r) {
+  std::vector<std::uint64_t> out;
+  r.begin_array();
+  for (std::size_t i = 0; r.next_item(i); ++i) {
+    out.push_back(static_cast<std::uint64_t>(r.integer()));
   }
-  return s;
+  return out;
+}
+
+std::vector<float> read_frames(json::Reader& r, std::size_t entities) {
+  std::vector<float> data;
+  r.begin_array();
+  for (std::size_t f = 0; r.next_item(f); ++f) {
+    r.peek();
+    const std::size_t at = r.pos();
+    r.begin_array();
+    std::size_t e = 0;
+    for (; r.next_item(e); ++e) data.push_back(static_cast<float>(r.number()));
+    if (e != entities) {
+      throw r.error_at(at, "frame " + std::to_string(f) + " has " +
+                               std::to_string(e) + " values, expected " +
+                               std::to_string(entities) + " entities");
+    }
+  }
+  return data;
+}
+
+/// Reads one series object. Its keys may come in any order: frames met
+/// before `entities` are skipped, then read once the width is known.
+SampledSeries read_series(json::Reader& r) {
+  std::optional<std::size_t> entities, frames_at, read_width;
+  std::optional<double> dt;
+  std::vector<float> data;
+  r.begin_object();
+  std::string key;
+  for (std::size_t i = 0; r.next_key(i, key); ++i) {
+    if (key == "entities") {
+      entities = static_cast<std::size_t>(r.integer());
+    } else if (key == "dt") {
+      dt = r.number();
+    } else if (key == "frames") {
+      r.peek();
+      frames_at = r.pos();
+      read_width = entities;
+      if (entities) {
+        data = read_frames(r, *entities);
+      } else {
+        r.skip_value();
+      }
+    } else {
+      r.skip_value();
+    }
+  }
+  if (!entities) throw r.error("missing required key \"entities\"");
+  if (!dt) throw r.error("missing required key \"dt\"");
+  if (!frames_at) throw r.error("missing required key \"frames\"");
+  if (read_width != entities) {
+    const std::size_t end = r.pos();
+    r.seek(*frames_at);
+    data = read_frames(r, *entities);
+    r.seek(end);
+  }
+  return SampledSeries::adopt(*entities, *dt, std::move(data));
+}
+
+/// An optional scalar: a value of another type leaves the default, as the
+/// format has always read it.
+double number_or_zero(json::Reader& r) {
+  if (r.at_number()) return r.number();
+  r.skip_value();
+  return 0.0;
+}
+
+std::string string_or_empty(json::Reader& r) {
+  if (r.at_string()) return r.string();
+  r.skip_value();
+  return {};
 }
 
 }  // namespace
 
-json::Value RunMetrics::to_json() const {
-  json::Object o;
-  o["groups"] = json::Value(groups);
-  o["routers_per_group"] = json::Value(routers_per_group);
-  o["terminals_per_router"] = json::Value(terminals_per_router);
-  o["global_per_router"] = json::Value(global_per_router);
-  o["workload"] = json::Value(workload);
-  o["routing"] = json::Value(routing);
-  o["placement"] = json::Value(placement);
-  o["seed"] = json::Value(static_cast<double>(seed));
-  o["end_time"] = json::Value(end_time);
-  {
-    json::Array names;
-    for (const auto& n : job_names) names.emplace_back(n);
-    o["job_names"] = json::Value(std::move(names));
+std::string RunMetrics::to_text() const {
+  std::size_t values = 9 * (local_links.size() + global_links.size()) +
+                       11 * terminals.size() + 3 * router_downtime.size();
+  for (const auto& f : kSeries) {
+    values += (this->*f.member).frames() * (this->*f.member).entities();
   }
-  o["local_links"] = links_to_json(local_links);
-  o["global_links"] = links_to_json(global_links);
-  {
-    json::Array arr;
-    arr.reserve(terminals.size());
-    for (const auto& t : terminals) {
-      json::Array row;
-      row.emplace_back(t.router);
-      row.emplace_back(t.port);
-      row.emplace_back(t.data_size);
-      row.emplace_back(t.sat_time);
-      row.emplace_back(t.packets_finished);
-      row.emplace_back(t.sum_latency);
-      row.emplace_back(t.sum_hops);
-      row.emplace_back(static_cast<double>(t.job));
-      row.emplace_back(t.packets_rerouted);
-      row.emplace_back(t.packets_dropped);
-      row.emplace_back(t.downtime);
-      arr.emplace_back(std::move(row));
-    }
-    o["terminals"] = json::Value(std::move(arr));
+  json::Writer w(512 + 4 * values);  // most values print as 1-3 bytes
+  w.raw("{\"groups\":").number(groups);
+  w.raw(",\"routers_per_group\":").number(routers_per_group);
+  w.raw(",\"terminals_per_router\":").number(terminals_per_router);
+  w.raw(",\"global_per_router\":").number(global_per_router);
+  w.raw(",\"workload\":").string(workload);
+  w.raw(",\"routing\":").string(routing);
+  w.raw(",\"placement\":").string(placement);
+  w.raw(",\"seed\":").number(static_cast<double>(seed));
+  w.raw(",\"end_time\":");
+  put_finite(w, end_time, "end_time");
+  w.raw(",\"job_names\":[");
+  for (std::size_t i = 0; i < job_names.size(); ++i) {
+    if (i) w.raw(',');
+    w.string(job_names[i]);
   }
+  w.raw(']');
+  put_links(w, "local_links", local_links);
+  put_links(w, "global_links", global_links);
+  put_terminals(w, terminals);
   if (!router_downtime.empty() || !router_retries.empty() ||
       !router_drops.empty()) {
-    auto dump_doubles = [](const std::vector<double>& vs) {
-      json::Array a;
-      a.reserve(vs.size());
-      for (double d : vs) a.emplace_back(d);
-      return json::Value(std::move(a));
-    };
-    auto dump_counts = [](const std::vector<std::uint64_t>& vs) {
-      json::Array a;
-      a.reserve(vs.size());
-      for (std::uint64_t c : vs) a.emplace_back(c);
-      return json::Value(std::move(a));
-    };
-    o["router_downtime"] = dump_doubles(router_downtime);
-    o["router_retries"] = dump_counts(router_retries);
-    o["router_drops"] = dump_counts(router_drops);
+    w.raw(",\"router_downtime\":[");
+    for (std::size_t i = 0; i < router_downtime.size(); ++i) {
+      if (i) w.raw(',');
+      const double d = router_downtime[i];
+      if (!std::isfinite(d)) {
+        throw_non_finite("router_downtime entry " + std::to_string(i), d);
+      }
+      w.number(d);
+    }
+    w.raw("],\"router_retries\":[");
+    put_counts(w, router_retries);
+    w.raw("],\"router_drops\":[");
+    put_counts(w, router_drops);
+    w.raw(']');
   }
-  o["sample_dt"] = json::Value(sample_dt);
+  w.raw(",\"sample_dt\":");
+  put_finite(w, sample_dt, "sample_dt");
   if (has_time_series()) {
-    o["local_traffic_ts"] = series_to_json(local_traffic_ts);
-    o["local_sat_ts"] = series_to_json(local_sat_ts);
-    o["global_traffic_ts"] = series_to_json(global_traffic_ts);
-    o["global_sat_ts"] = series_to_json(global_sat_ts);
-    o["term_traffic_ts"] = series_to_json(term_traffic_ts);
-    o["term_sat_ts"] = series_to_json(term_sat_ts);
+    for (const auto& f : kSeries) put_series(w, f.key, this->*f.member);
   }
-  return json::Value(std::move(o));
+  w.raw('}');
+  return w.take();
 }
 
-RunMetrics RunMetrics::from_json(const json::Value& v) {
+RunMetrics RunMetrics::from_text(std::string_view text) {
+  if (text.substr(0, 3) == "\xEF\xBB\xBF") text.remove_prefix(3);
+  json::Reader r(text);
   RunMetrics m;
-  m.groups = static_cast<std::uint32_t>(v.at("groups").as_int());
-  m.routers_per_group =
-      static_cast<std::uint32_t>(v.at("routers_per_group").as_int());
-  m.terminals_per_router =
-      static_cast<std::uint32_t>(v.at("terminals_per_router").as_int());
-  m.global_per_router =
-      static_cast<std::uint32_t>(v.at("global_per_router").as_int());
-  m.workload = v.get_string("workload", "");
-  m.routing = v.get_string("routing", "");
-  m.placement = v.get_string("placement", "");
-  m.seed = static_cast<std::uint64_t>(v.get_number("seed", 0));
-  m.end_time = v.get_number("end_time", 0.0);
-  if (const auto* names = v.find("job_names")) {
-    for (const auto& n : names->as_array()) m.job_names.push_back(n.as_string());
-  }
-  m.local_links = links_from_json(v.at("local_links"));
-  m.global_links = links_from_json(v.at("global_links"));
-  for (const auto& rowv : v.at("terminals").as_array()) {
-    const auto& row = rowv.as_array();
-    // 8-column rows predate fault injection; accept both layouts.
-    DV_REQUIRE(row.size() == 8 || row.size() == 11, "bad terminal row");
-    TerminalMetrics t;
-    t.router = static_cast<std::uint32_t>(row[0].as_int());
-    t.port = static_cast<std::uint32_t>(row[1].as_int());
-    t.data_size = row[2].as_number();
-    t.sat_time = row[3].as_number();
-    t.packets_finished = static_cast<std::uint64_t>(row[4].as_int());
-    t.sum_latency = row[5].as_number();
-    t.sum_hops = row[6].as_number();
-    t.job = static_cast<std::int32_t>(row[7].as_int());
-    if (row.size() == 11) {
-      t.packets_rerouted = static_cast<std::uint64_t>(row[8].as_int());
-      t.packets_dropped = static_cast<std::uint64_t>(row[9].as_int());
-      t.downtime = row[10].as_number();
+  constexpr const char* kRequired[] = {
+      "groups",      "routers_per_group", "terminals_per_router",
+      "global_per_router", "local_links", "global_links", "terminals"};
+  bool seen[std::size(kRequired)] = {};
+  constexpr std::size_t kNoSeries = std::size(kSeries);
+  std::optional<std::size_t> series_at[kNoSeries];  // where each value starts
+  bool series_read[kNoSeries] = {};
+  auto u32 = [&r] { return static_cast<std::uint32_t>(r.integer()); };
+  auto in_key = [](const Error& e, const std::string& key) {
+    return Error(std::string(e.what()) + " (key \"" + key + "\")");
+  };
+
+  r.begin_object();
+  std::string key;
+  for (std::size_t i = 0; r.next_key(i, key); ++i) {
+    std::size_t k = 0;
+    while (k < kNoSeries && key != kSeries[k].key) ++k;
+    try {
+      if (key == "groups") {
+        m.groups = u32();
+      } else if (key == "routers_per_group") {
+        m.routers_per_group = u32();
+      } else if (key == "terminals_per_router") {
+        m.terminals_per_router = u32();
+      } else if (key == "global_per_router") {
+        m.global_per_router = u32();
+      } else if (key == "workload") {
+        m.workload = string_or_empty(r);
+      } else if (key == "routing") {
+        m.routing = string_or_empty(r);
+      } else if (key == "placement") {
+        m.placement = string_or_empty(r);
+      } else if (key == "seed") {
+        m.seed = static_cast<std::uint64_t>(number_or_zero(r));
+      } else if (key == "end_time") {
+        m.end_time = number_or_zero(r);
+      } else if (key == "job_names") {
+        m.job_names.clear();
+        r.begin_array();
+        for (std::size_t j = 0; r.next_item(j); ++j) {
+          m.job_names.push_back(r.string());
+        }
+      } else if (key == "local_links") {
+        m.local_links = read_links(r);
+      } else if (key == "global_links") {
+        m.global_links = read_links(r);
+      } else if (key == "terminals") {
+        m.terminals = read_terminals(r);
+      } else if (key == "router_downtime") {
+        m.router_downtime = read_numbers(r);
+      } else if (key == "router_retries") {
+        m.router_retries = read_counts(r);
+      } else if (key == "router_drops") {
+        m.router_drops = read_counts(r);
+      } else if (key == "sample_dt") {
+        m.sample_dt = number_or_zero(r);
+      } else if (k < kNoSeries) {
+        // Series are read only for a sampled run; one met before
+        // sample_dt is skipped now and read at the end if needed.
+        r.peek();
+        series_at[k] = r.pos();
+        series_read[k] = m.sample_dt > 0.0;
+        if (series_read[k]) {
+          m.*kSeries[k].member = read_series(r);
+        } else {
+          r.skip_value();
+        }
+      } else {
+        r.skip_value();  // unknown key
+      }
+    } catch (const Error& e) {
+      throw in_key(e, key);
     }
-    m.terminals.push_back(t);
-  }
-  if (const auto* rd = v.find("router_downtime")) {
-    for (const auto& d : rd->as_array()) {
-      m.router_downtime.push_back(d.as_number());
+    for (std::size_t q = 0; q < std::size(kRequired); ++q) {
+      if (key == kRequired[q]) seen[q] = true;
     }
   }
-  if (const auto* rr = v.find("router_retries")) {
-    for (const auto& c : rr->as_array()) {
-      m.router_retries.push_back(static_cast<std::uint64_t>(c.as_int()));
+  const std::size_t close = r.pos() - 1;
+  r.finish();
+  for (std::size_t q = 0; q < std::size(kRequired); ++q) {
+    if (!seen[q]) {
+      throw r.error_at(close, std::string("missing required key \"") +
+                                  kRequired[q] + "\"");
     }
   }
-  if (const auto* rd = v.find("router_drops")) {
-    for (const auto& c : rd->as_array()) {
-      m.router_drops.push_back(static_cast<std::uint64_t>(c.as_int()));
+  for (std::size_t k = 0; k < kNoSeries; ++k) {
+    SampledSeries& s = m.*kSeries[k].member;
+    if (m.sample_dt <= 0.0) {
+      s = SampledSeries();  // an unsampled run ignores any series
+      continue;
     }
-  }
-  m.sample_dt = v.get_number("sample_dt", 0.0);
-  if (m.sample_dt > 0.0) {
-    m.local_traffic_ts = series_from_json(v.at("local_traffic_ts"));
-    m.local_sat_ts = series_from_json(v.at("local_sat_ts"));
-    m.global_traffic_ts = series_from_json(v.at("global_traffic_ts"));
-    m.global_sat_ts = series_from_json(v.at("global_sat_ts"));
-    m.term_traffic_ts = series_from_json(v.at("term_traffic_ts"));
-    m.term_sat_ts = series_from_json(v.at("term_sat_ts"));
+    if (!series_at[k]) {
+      throw r.error_at(close, std::string("missing required key \"") +
+                                  kSeries[k].key +
+                                  "\" (the run is sampled: sample_dt > 0)");
+    }
+    if (!series_read[k]) {
+      r.seek(*series_at[k]);
+      try {
+        s = read_series(r);
+      } catch (const Error& e) {
+        throw in_key(e, kSeries[k].key);
+      }
+    }
   }
   return m;
 }
 
 void RunMetrics::save(const std::string& path) const {
+  std::string text;
+  try {
+    text = to_text();
+  } catch (const Error& e) {
+    throw Error(path + ": " + e.what());
+  }
   std::ofstream os(path, std::ios::binary);
   DV_REQUIRE(os.good(), "cannot open for writing: " + path);
-  os << json::dump(to_json());
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
   DV_REQUIRE(os.good(), "write failed: " + path);
 }
 
@@ -369,26 +614,18 @@ RunMetrics RunMetrics::load(const std::string& path) {
   // Packed runs dispatch on the on-disk magic, not the extension, so a
   // .dvr renamed to .json still loads.
   if (is_dvr_file(path)) return load_dvr(path);
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   DV_REQUIRE(is.good(), "cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  std::string text = buf.str();
-  // Tolerate a UTF-8 BOM and trailing whitespace/CRLF noise from editors
-  // or transfer tools; the parser handles interior \r as whitespace.
-  if (text.size() >= 3 && text.compare(0, 3, "\xEF\xBB\xBF") == 0) {
-    text.erase(0, 3);
-  }
-  while (!text.empty() &&
-         (text.back() == '\n' || text.back() == '\r' ||
-          text.back() == ' ' || text.back() == '\t')) {
-    text.pop_back();
-  }
+  const std::streamoff size = is.tellg();
+  DV_REQUIRE(size >= 0, "cannot size: " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  is.read(text.data(), size);
+  DV_REQUIRE(is.gcount() == size, "read failed: " + path);
   try {
-    return from_json(json::parse(text));
+    return from_text(text);
   } catch (const Error& e) {
-    // The parser reports line/column; prepend which file was at fault so a
-    // failed sweep names the offending run instead of a bare position.
+    // Name the file at fault, so a failed sweep points at the run.
     throw Error(path + ": " + e.what());
   }
 }

@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "json/json.hpp"
 #include "util/common.hpp"
 #include "util/csv.hpp"
 
@@ -199,14 +199,16 @@ struct RunMetrics {
   double total_injected() const;
   std::uint64_t total_packets_finished() const;
 
-  // Serialization. save() writes the text (JSON) format; dvr.hpp owns the
-  // packed columnar format. load() sniffs the on-disk magic and accepts
-  // either, so every consumer (CLI, store, serve catalog) reads both. Text
-  // parse errors are rethrown with the file path and the offending line
-  // number; a UTF-8 BOM, CRLF line endings and trailing whitespace are
-  // tolerated.
-  json::Value to_json() const;
-  static RunMetrics from_json(const json::Value& v);
+  // Serialization. save() writes the text (JSON) format of
+  // docs/RUN_FORMAT.md; dvr.hpp owns the packed columnar format. load()
+  // sniffs the on-disk magic and accepts either, so every consumer (CLI,
+  // store, serve catalog) reads both. Text errors are rethrown with the
+  // file path, the line and column, and the key at fault; a UTF-8 BOM,
+  // CRLF line endings and trailing whitespace are tolerated. JSON has no
+  // NaN or infinity, so to_text() and save() refuse a run holding one
+  // (naming where) before any file is opened; .dvr keeps such values.
+  std::string to_text() const;
+  static RunMetrics from_text(std::string_view text);
   void save(const std::string& path) const;
   static RunMetrics load(const std::string& path);
 

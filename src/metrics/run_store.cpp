@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "json/json.hpp"
 #include "metrics/dvr.hpp"
 
 namespace dv::metrics {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "workload/workload.hpp"
 
 namespace dv::trace {

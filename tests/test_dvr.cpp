@@ -363,17 +363,43 @@ TEST(DvrTextLoader, ToleratesBomCrlfAndTrailingWhitespace) {
 
 TEST(DvrTextLoader, ParseErrorsCarryPathAndLine) {
   const auto path = temp_path("dv_dvr_bad_json.json");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "{\n  \"groups\": 2,\n  \"oops\n}\n";
-  }
-  try {
-    metrics::RunMetrics::load(path);
-    FAIL() << "expected a parse error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find(path), std::string::npos) << msg;
-    EXPECT_NE(msg.find("line"), std::string::npos) << msg;
+  const std::string header =
+      "{\n  \"groups\": 2,\n  \"routers_per_group\": 1,\n"
+      "  \"terminals_per_router\": 1,\n  \"global_per_router\": 1,\n";
+  // Each case: the file, then the parts its error must name besides the
+  // path (a key and a line:column).
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"{\n  \"groups\": 2,\n  \"oops\n}\n",
+       {"line 3, column 3", "unterminated"}},
+      // A string where a number belongs.
+      {"{\n  \"groups\": \"two\",\n  \"routers_per_group\": 1\n}\n",
+       {"line 2, column 13", "\"groups\"", "number"}},
+      // A missing required key.
+      {header + "  \"global_links\": [],\n  \"terminals\": []\n}\n",
+       {"line 8, column 1", "missing", "\"local_links\""}},
+      // A link row of the wrong width.
+      {header +
+           "  \"local_links\": [\n    [0,0,1,0,5,0,0,0,0],\n"
+           "    [1,0,0,0,5,0,0]],\n"
+           "  \"global_links\": [],\n  \"terminals\": []\n}\n",
+       {"line 8, column 5", "\"local_links\"", "row 1 has 7 columns"}},
+  };
+  for (const auto& [text, parts] : cases) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << text;
+    }
+    try {
+      metrics::RunMetrics::load(path);
+      ADD_FAILURE() << "expected a parse error for:\n" << text;
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path), std::string::npos) << msg;
+      for (const auto& part : parts) {
+        EXPECT_NE(msg.find(part), std::string::npos)
+            << "'" << part << "' missing from: " << msg;
+      }
+    }
   }
   std::remove(path.c_str());
 }

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "json/json.hpp"
 #include "netsim/network.hpp"
 #include "util/rng.hpp"
 
@@ -291,9 +290,7 @@ void add_soup(Network& net, std::uint64_t seed, int count, double window) {
   }
 }
 
-std::string dump(const metrics::RunMetrics& m) {
-  return json::dump(m.to_json());
-}
+std::string dump(const metrics::RunMetrics& m) { return m.to_text(); }
 
 TEST(FaultNetsim, EmptyPlanIsBitIdenticalToNoPlan) {
   const auto topo = topo::Dragonfly::canonical(2);

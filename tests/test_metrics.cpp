@@ -48,7 +48,7 @@ TEST(Metrics, DeriveRoutersSumsLinks) {
 
 TEST(Metrics, JsonRoundTripUnsampled) {
   const auto m = sample_run(false);
-  const auto back = RunMetrics::from_json(m.to_json());
+  const auto back = RunMetrics::from_text(m.to_text());
   EXPECT_EQ(back.groups, m.groups);
   EXPECT_EQ(back.workload, m.workload);
   EXPECT_EQ(back.terminals.size(), m.terminals.size());
